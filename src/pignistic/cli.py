@@ -25,9 +25,9 @@ from .io import (
     render_report,
 )
 from .metrics import pic as pic_score
-from .transforms import SolverConfig
+from .transforms import TRANSFORMS, SolverConfig
 
-_METHOD_FLAGS = {kind.value.lower(): kind for kind in TransformKind}
+_METHOD_FLAGS = {name.lower(): TransformKind(name) for name in TRANSFORMS}
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -105,14 +105,11 @@ def _read(path: Path) -> str:
         raise PignisticError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _solver(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iter)
-
-
 def _run(args: argparse.Namespace, out) -> None:
+    solver = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iter)
     if args.command == "transform":
         m = parse_bba_document(_read(args.input))
-        report = report_for(m, _METHOD_FLAGS[args.method], args.risk, _solver(args))
+        report = report_for(m, _METHOD_FLAGS[args.method], args.risk, solver)
         print(render_report(report, args.format), file=out)
     elif args.command == "pic":
         text = _read(args.input)
@@ -120,18 +117,18 @@ def _run(args: argparse.Namespace, out) -> None:
             dist = parse_distribution_document(text)
         else:
             m = parse_bba_document(text)
-            report = report_for(m, _METHOD_FLAGS[args.method], 0.0, _solver(args))
+            report = report_for(m, _METHOD_FLAGS[args.method], 0.0, solver)
             dist = report.distribution
         print(f"{pic_score(dist).value:.6f}", file=out)
     elif args.command == "decide":
         m = parse_bba_document(_read(args.input))
         thresholds = parse_threshold_document(_read(args.thresholds))
-        report = evaluate(m, thresholds, args.risk, _solver(args))
+        report = evaluate(m, thresholds, args.risk, solver)
         print(render_report(report, args.format), file=out)
     elif args.command == "compare":
         m = parse_bba_document(_read(args.input))
         reports = [
-            report_for(m, kind, args.risk, _solver(args)) for kind in TransformKind
+            report_for(m, kind, args.risk, solver) for kind in TransformKind
         ]
         print(render_comparison(reports, args.format), file=out)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,23 +43,25 @@ class Frame:
     """An ordered frame of discernment."""
 
     labels: tuple[str, ...]
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         if not labels:
             raise EmptyFrameError("a frame needs at least one label")
-        seen = set()
-        for label in labels:
+        bits: dict[str, int] = {}
+        for i, label in enumerate(labels):
             if not label:
                 raise EmptyFrameError("frame labels must be non-empty strings")
-            if label in seen:
+            if label in bits:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
-            seen.add(label)
+            bits[label] = 1 << i
         if len(labels) > MAX_FRAME_SIZE:
             raise FrameTooLargeError(
                 f"frame has {len(labels)} labels; at most {MAX_FRAME_SIZE} supported"
             )
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_bits", bits)
 
     @property
     def size(self) -> int:
@@ -67,17 +71,20 @@ class Frame:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        return self._mask((label,)).bit_length() - 1
+
+    def _mask(self, members: Iterable[str]) -> int:
+        """Bitmask of ``members``; a label listed twice counts once."""
         try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabelError(f"label {label!r} not in frame {self.labels}") from None
+            return reduce(or_, map(self._bits.__getitem__, members), 0)
+        except KeyError as exc:
+            raise UnknownLabelError(
+                f"label {exc.args[0]!r} not in frame {self.labels}"
+            ) from None
 
     def subset(self, members: Iterable[str]) -> FocalSet:
         """Build a focal set from labels of this frame."""
-        bits = 0
-        for label in members:
-            bits |= 1 << self.index(label)
-        return FocalSet(self, bits)
+        return FocalSet(self, self._mask(members))
 
     def singleton(self, label: str) -> FocalSet:
         return FocalSet(self, 1 << self.index(label))
@@ -122,17 +129,9 @@ class FocalSet:
         _check_same_frame(self.frame, other.frame)
         return self.bits & other.bits != 0
 
-    def indices(self) -> Iterator[int]:
-        """Positions of the member singletons, ascending."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
 
 def _check_same_frame(a: Frame, b: Frame) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FrameMismatchError(f"frames differ: {a.labels} vs {b.labels}")
 
 
@@ -140,8 +139,7 @@ def _check_same_frame(a: Frame, b: Frame) -> None:
 class SingletonVector:
     """One non-negative value per singleton of a frame, in frame order.
 
-    Holds Belief or Plausibility tabulations and anything else that is
-    reduced over focal sets with :meth:`sum_over`.
+    Holds singleton Belief or Plausibility tabulations.
     """
 
     frame: Frame
@@ -153,8 +151,8 @@ class SingletonVector:
             raise ValueError(
                 f"expected {frame.size} values, got shape {arr.shape}"
             )
-        if (arr < 0).any():
-            raise ValueError("singleton values must be non-negative")
+        if not (arr >= 0.0).all():
+            raise ValueError("singleton values must be non-negative numbers")
         arr.flags.writeable = False
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
@@ -163,13 +161,9 @@ class SingletonVector:
         return float(self.values[self.frame.index(label)])
 
     def sum_over(self, subset: FocalSet) -> float:
-        """Sum of the values over the singletons of ``subset``.
-
-        This is the compound-to-sum reduction used throughout the
-        proportional transforms.
-        """
+        """Sum of the values over the singletons of ``subset``."""
         _check_same_frame(self.frame, subset.frame)
-        return float(sum(self.values[i] for i in subset.indices()))
+        return float(sum(v for i, v in enumerate(self.values) if subset.bits >> i & 1))
 
     @property
     def total(self) -> float:
@@ -181,33 +175,21 @@ class MassFunction:
 
     Masses are attached to nonempty subsets only (closed world), each lies
     in [0, 1], and they sum to one within ``MASS_SUM_TOLERANCE``. Inputs
-    violating any of this are rejected; nothing is silently renormalized.
-    Zero-mass entries are accepted and dropped.
+    violating any of this, NaN and infinities included, are rejected;
+    nothing is silently renormalized. Zero-mass entries are accepted and
+    dropped.
+
+    The focal sets with positive mass are kept once, in insertion order, as
+    two aligned read-only arrays: ``bits`` (uint64 bitmasks) and ``masses``.
+    The k x n ``incidence`` matrix and the singleton Belief and
+    Plausibility vectors are built on first use and kept, so the object
+    stays immutable and safe to share between threads.
     """
 
-    __slots__ = ("frame", "_masses")
-
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
-        masses: dict[int, float] = {}
-        total = 0.0
-        for subset, mass in assignments.items():
+        for subset in assignments:
             _check_same_frame(frame, subset.frame)
-            if mass < 0.0 or mass > 1.0:
-                raise MassOutOfRangeError(
-                    f"mass {mass} on {subset.labels} is outside [0, 1]"
-                )
-            if subset.bits in masses:
-                raise DuplicateFocalSetError(
-                    f"focal set {subset.labels} assigned more than once"
-                )
-            masses[subset.bits] = mass
-            total += mass
-        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
-            raise MassSumMismatchError(
-                f"masses sum to {total!r}, off by {total - 1.0:+.3g}"
-            )
-        self.frame = frame
-        self._masses = {bits: m for bits, m in masses.items() if m > 0.0}
+        self._store(frame, [s.bits for s in assignments], list(assignments.values()))
 
     @classmethod
     def from_labels(
@@ -216,64 +198,95 @@ class MassFunction:
         assignments: Iterable[tuple[Iterable[str], float]],
     ) -> MassFunction:
         """Build from (subset labels, mass) pairs; unlisted subsets get mass 0."""
-        mapping: dict[FocalSet, float] = {}
+        bits, masses = [], []
         for members, mass in assignments:
-            subset = frame.subset(members)
-            if subset in mapping:
-                raise DuplicateFocalSetError(
-                    f"focal set {subset.labels} assigned more than once"
-                )
-            mapping[subset] = mass
-        return cls(frame, mapping)
+            bits.append(frame._mask(members))
+            masses.append(mass)
+        m = cls.__new__(cls)
+        m._store(frame, bits, masses)
+        return m
+
+    def _store(self, frame: Frame, bits: list[int], masses: list[float]) -> None:
+        if 0 in bits:
+            raise EmptySetMassError("the empty set is not a valid focal set")
+        values = np.array(masses, dtype=float)
+        # written so that NaN fails the test as well
+        outside = ~((values >= 0.0) & (values <= 1.0))
+        if outside.any():
+            i = int(outside.argmax())
+            raise MassOutOfRangeError(
+                f"mass {masses[i]} on {FocalSet(frame, bits[i]).labels} is outside [0, 1]"
+            )
+        if len(set(bits)) != len(bits):
+            twice = next(b for i, b in enumerate(bits) if b in bits[:i])
+            raise DuplicateFocalSetError(
+                f"focal set {FocalSet(frame, twice).labels} assigned more than once"
+            )
+        total = math.fsum(values.tolist())
+        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
+            raise MassSumMismatchError(
+                f"masses sum to {total!r}, off by {total - 1.0:+.3g}"
+            )
+        positive = values > 0.0
+        self.frame = frame
+        self.bits = _read_only(np.array(bits, dtype=np.uint64)[positive])
+        self.masses = _read_only(values[positive])
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """k x n boolean matrix: row r marks the members of focal set r."""
+        octets = self.bits.astype("<u8").view(np.uint8).reshape(-1, 8)
+        rows = np.unpackbits(octets, axis=1, count=self.frame.size, bitorder="little")
+        return _read_only(rows.view(bool))
+
+    @cached_property
+    def cardinality(self) -> np.ndarray:
+        """Number of members of each focal set, as floats."""
+        return _read_only(self.incidence.sum(axis=1, dtype=float))
+
+    @cached_property
+    def _singletons(self) -> SingletonVector:
+        single = self.cardinality == 1.0
+        return SingletonVector(self.frame, self.masses[single] @ self.incidence[single])
+
+    @cached_property
+    def _plausibilities(self) -> SingletonVector:
+        return SingletonVector(self.frame, self.masses @ self.incidence)
 
     def focal_sets(self) -> Iterator[tuple[FocalSet, float]]:
         """Focal sets with strictly positive mass, with their masses."""
-        for bits, mass in self._masses.items():
+        for bits, mass in zip(self.bits.tolist(), self.masses.tolist()):
             yield FocalSet(self.frame, bits), mass
 
     def __len__(self) -> int:
-        return len(self._masses)
+        return len(self.masses)
 
     def mass(self, subset: FocalSet) -> float:
         _check_same_frame(self.frame, subset.frame)
-        return self._masses.get(subset.bits, 0.0)
-
-    def singleton_masses(self) -> SingletonVector:
-        values = np.zeros(self.frame.size)
-        for i in range(self.frame.size):
-            values[i] = self._masses.get(1 << i, 0.0)
-        return SingletonVector(self.frame, values)
-
-    def is_bayesian(self) -> bool:
-        """True if all mass sits on singletons."""
-        return all(bits.bit_count() == 1 for bits in self._masses)
+        hit = self.masses[self.bits == np.uint64(subset.bits)]
+        return float(hit[0]) if hit.size else 0.0
 
     def belief(self, subset: FocalSet) -> float:
         """Total mass on focal sets contained in ``subset``."""
         _check_same_frame(self.frame, subset.frame)
-        return math.fsum(
-            mass for bits, mass in self._masses.items() if bits & ~subset.bits == 0
-        )
+        inside = (self.bits & ~np.uint64(subset.bits)) == 0
+        return math.fsum(self.masses[inside].tolist())
 
     def plausibility(self, subset: FocalSet) -> float:
         """Total mass on focal sets intersecting ``subset``."""
         _check_same_frame(self.frame, subset.frame)
-        return math.fsum(
-            mass for bits, mass in self._masses.items() if bits & subset.bits
-        )
+        meets = (self.bits & np.uint64(subset.bits)) != 0
+        return math.fsum(self.masses[meets].tolist())
 
     def singleton_beliefs(self) -> SingletonVector:
-        values = [
-            self.belief(FocalSet(self.frame, 1 << i)) for i in range(self.frame.size)
-        ]
-        return SingletonVector(self.frame, values)
+        """Bel({x}) is the mass of {x} itself: the singleton masses."""
+        return self._singletons
+
+    singleton_masses = singleton_beliefs
 
     def singleton_plausibilities(self) -> SingletonVector:
-        values = [
-            self.plausibility(FocalSet(self.frame, 1 << i))
-            for i in range(self.frame.size)
-        ]
-        return SingletonVector(self.frame, values)
+        """Pl({x}) = sum of the masses of the focal sets containing x."""
+        return self._plausibilities
 
     def sum_bel(self) -> float:
         """Sum of singleton Beliefs; at most 1, with equality iff Bayesian."""
@@ -286,9 +299,14 @@ class MassFunction:
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{{{','.join(FocalSet(self.frame, bits).labels)}}}: {mass:g}"
-            for bits, mass in sorted(self._masses.items())
+            for bits, mass in sorted(zip(self.bits.tolist(), self.masses.tolist()))
         )
         return f"MassFunction({parts})"
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def make_frame(labels: Iterable[str]) -> Frame:

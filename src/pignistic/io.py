@@ -18,9 +18,13 @@ from .frame import Frame, MassFunction
 from .transforms import ProbabilityDistribution
 
 
+def _reject_constant(name: str) -> None:
+    raise ParseError(f"non-finite number {name} is not allowed")
+
+
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .frame import Frame, MassFunction, SingletonVector
+from .frame import Frame, MassFunction
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
@@ -39,8 +39,8 @@ class ProbabilityDistribution:
         arr = np.asarray(probabilities, dtype=float)
         if arr.shape != (frame.size,):
             raise ValueError(f"expected {frame.size} probabilities, got {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError("probabilities must be non-negative")
+        if not (np.isfinite(arr) & (arr >= 0.0)).all():
+            raise ValueError("probabilities must be finite and non-negative")
         if abs(arr.sum() - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
         arr.flags.writeable = False
@@ -71,8 +71,8 @@ class SolverConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, not {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -91,39 +91,33 @@ class TransformResult:
     iterations: int | None = None
 
 
-def _proportional_split(
-    m: MassFunction, weights: SingletonVector
-) -> np.ndarray:
-    """Split each focal set's mass among its singletons proportionally to
-    ``weights``, with equal split when every member has zero weight."""
-    n = m.frame.size
-    out = np.zeros(n)
-    w = weights.values
-    for subset, mass in m.focal_sets():
-        members = list(subset.indices())
-        if len(members) == 1:
-            # keep Bayesian inputs exact fixed points (no w/w rounding)
-            out[members[0]] += mass
-            continue
-        denom = sum(w[i] for i in members)
-        if denom > 0.0:
-            for i in members:
-                out[i] += mass * w[i] / denom
-        else:
-            share = mass / len(members)
-            for i in members:
-                out[i] += share
+def _split(m: MassFunction, weights: np.ndarray) -> np.ndarray:
+    """Singleton masses plus each compound focal set's mass shared among its
+    members proportionally to ``weights`` (equally where all weigh zero):
+    ``single + w * M^T (m_c / M_c w)``. Adding singleton mass as it is keeps
+    Bayesian inputs exact fixed points (no w/w rounding)."""
+    M = m.incidence
+    compound = m.cardinality > 1.0
+    denom = M @ weights
+    proportional = compound & (denom > 0.0)
+    per_weight = np.divide(
+        m.masses, denom, out=np.zeros_like(denom), where=proportional
+    )
+    out = m.singleton_masses().values + weights * (per_weight @ M)
+    equal = compound & ~proportional
+    if equal.any():
+        out += np.where(equal, m.masses / m.cardinality, 0.0) @ M
     return out
 
 
 def bet_p(m: MassFunction) -> TransformResult:
-    """Smets pignistic transform: equal split of each focal set's mass."""
-    shares: list[list[float]] = [[] for _ in range(m.frame.size)]
-    for subset, mass in m.focal_sets():
-        share = mass / subset.cardinality
-        for i in subset.indices():
-            shares[i].append(share)
-    out = np.array([math.fsum(s) for s in shares])
+    """Smets pignistic transform: equal split of each focal set's mass.
+
+    Each probability is the exactly rounded sum of its shares, so the
+    result does not depend on the order of the focal sets.
+    """
+    shares = m.masses / m.cardinality
+    out = [math.fsum(shares[column].tolist()) for column in m.incidence.T]
     return TransformResult(ProbabilityDistribution(m.frame, out), "BetP")
 
 
@@ -145,7 +139,7 @@ def pra_pl(m: MassFunction) -> TransformResult:
 
 def pr_pl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton Plausibilities."""
-    out = _proportional_split(m, m.singleton_plausibilities())
+    out = _split(m, m.singleton_plausibilities().values)
     return TransformResult(ProbabilityDistribution(m.frame, out), "PrPl")
 
 
@@ -155,14 +149,13 @@ def pr_bl(m: MassFunction) -> TransformResult:
     Focal sets none of whose members carry singleton mass are split
     equally (the same insufficient-reason fallback as BetP).
     """
-    out = _proportional_split(m, m.singleton_masses())
+    out = _split(m, m.singleton_masses().values)
     return TransformResult(ProbabilityDistribution(m.frame, out), "PrBl")
 
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
     """Max-norm defect of the self-consistency equation at ``p``."""
-    rhs = _proportional_split(m, SingletonVector(p.frame, p.probabilities))
-    return float(np.max(np.abs(rhs - p.probabilities)))
+    return float(np.max(np.abs(_split(m, p.probabilities) - p.probabilities)))
 
 
 def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> TransformResult:
@@ -189,48 +182,40 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     the residual bound either way.
     """
 
-    def split(p: np.ndarray) -> np.ndarray:
-        return _proportional_split(m, SingletonVector(m.frame, p))
-
     def residual_of(p: np.ndarray) -> float:
-        return float(np.max(np.abs(split(p) - p)))
+        return float(np.max(np.abs(_split(m, p) - p)))
 
     def collapse_is_stable(candidate: np.ndarray, reference: np.ndarray) -> bool:
         """Zero is a fixed point for any component, so a candidate that
         sends a component (near) zero must be checked: the collapse is
         only legitimate when zero attracts it, i.e. when the linearized
-        growth factor of the component's mass income is at most one."""
+        growth factor of the component's mass income,
+        ``sum over compound A containing i of m(A) / (c(A) - c_i)``,
+        is at most one."""
         dropped = (candidate < 1e-3 * reference) & (reference > 0.0)
         if not bool(dropped.any()):
             return True
-        for index in np.nonzero(dropped)[0]:
-            growth = 0.0
-            for subset, mass in m.focal_sets():
-                members = list(subset.indices())
-                if index not in members:
-                    continue
-                if len(members) == 1:
-                    # singleton mass keeps the component positive
-                    return False
-                others = math.fsum(
-                    candidate[j] for j in members if j != index
-                )
-                if others <= 0.0:
-                    return False
-                growth += mass / others
-            if growth > 1.0 + 1e-6:
-                return False
-        return True
+        # singleton mass keeps the component positive
+        if (m.singleton_masses().values[dropped] > 0.0).any():
+            return False
+        member = m.incidence[:, dropped] & (m.cardinality > 1.0)[:, None]
+        others = (m.incidence @ candidate)[:, None] - candidate[dropped]
+        if (others[member] <= 0.0).any():
+            return False
+        growth = np.divide(
+            m.masses[:, None], others, out=np.zeros_like(others), where=member
+        ).sum(axis=0)
+        return bool((growth <= 1.0 + 1e-6).all())
 
     prev: np.ndarray | None = None
     current = pr_bl(m).distribution.probabilities.copy()
     polish_after = 0
     polish_backoff = 8
     for iteration in range(1, config.max_iterations + 1):
-        updated = split(current)
+        updated = _split(m, current)
         step = float(np.max(np.abs(updated - current)))
         if step < config.tolerance:
-            residual = float(np.max(np.abs(split(updated) - updated)))
+            residual = residual_of(updated)
             if residual < 10.0 * config.tolerance:
                 return TransformResult(
                     ProbabilityDistribution(m.frame, updated),
@@ -272,7 +257,7 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
                 candidate /= candidate.sum()
                 for _ in range(48):
                     for _ in range(8):
-                        candidate = split(candidate)
+                        candidate = _split(m, candidate)
                     polished = residual_of(candidate)
                     if polished < bar:
                         break
@@ -285,7 +270,7 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
                 polish_backoff = 8
                 updated = accel
         prev, current = current, updated
-    residual = float(np.max(np.abs(split(current) - current)))
+    residual = residual_of(current)
     raise ConvergenceError(
         f"no fixed point within {config.max_iterations} iterations "
         f"(residual {residual:.3g})",
@@ -303,14 +288,15 @@ TRANSFORMS = {
     "PrScP": pr_sc_p,
 }
 
+_BY_LOWER_NAME = {name.lower(): fn for name, fn in TRANSFORMS.items()}
+
 
 def apply_transform(
     method: str, m: MassFunction, config: SolverConfig = SolverConfig()
 ) -> TransformResult:
     """Dispatch by method name (case-insensitive)."""
-    lookup = {name.lower(): fn for name, fn in TRANSFORMS.items()}
     try:
-        fn = lookup[method.lower()]
+        fn = _BY_LOWER_NAME[method.lower()]
     except KeyError:
         raise ValueError(
             f"unknown transform {method!r}; expected one of {sorted(TRANSFORMS)}"
