@@ -9,7 +9,6 @@ decision sets with an information-maturity transform selector.
 from .decision import (
     DecisionReport,
     ThresholdSet,
-    TransformKind,
     decision_set,
     evaluate,
     report_for,
@@ -43,6 +42,7 @@ from .metrics import PicScore, kl_divergence, pic
 from .transforms import (
     ProbabilityDistribution,
     SolverConfig,
+    TransformKind,
     TransformResult,
     apply_transform,
     bet_p,

@@ -12,22 +12,22 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .decision import TransformKind, evaluate, report_for
+from .decision import evaluate, report_for
 from .errors import ConvergenceError, PignisticError
+from .frame import MassFunction
 from .io import (
     HUMAN,
     MACHINE,
-    is_distribution_document,
     parse_bba_document,
-    parse_distribution_document,
+    parse_bba_or_distribution,
     parse_threshold_document,
     render_comparison,
     render_report,
 )
 from .metrics import pic as pic_score
-from .transforms import TRANSFORMS, SolverConfig
+from .transforms import SolverConfig, TransformKind
 
-_METHOD_FLAGS = {name.lower(): TransformKind(name) for name in TRANSFORMS}
+_METHODS = sorted(kind.value.lower() for kind in TransformKind)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tr = sub.add_parser("transform", help="apply one transform to a BBA file")
-    p_tr.add_argument("--method", required=True, choices=sorted(_METHOD_FLAGS))
+    p_tr.add_argument("--method", required=True, choices=_METHODS)
     p_tr.add_argument("--input", required=True, type=Path, help="BBA document")
     p_tr.add_argument("--risk", type=float, default=0.0,
                       help="decision threshold annotated on the output")
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pic.add_argument("--input", required=True, type=Path,
                        help="distribution document, or BBA document with --method")
-    p_pic.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="betp",
+    p_pic.add_argument("--method", choices=_METHODS, default="betp",
                        help="transform applied first when the input is a BBA")
     _add_solver_flags(p_pic)
 
@@ -109,16 +109,12 @@ def _run(args: argparse.Namespace, out) -> None:
     solver = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iter)
     if args.command == "transform":
         m = parse_bba_document(_read(args.input))
-        report = report_for(m, _METHOD_FLAGS[args.method], args.risk, solver)
+        report = report_for(m, TransformKind(args.method), args.risk, solver)
         print(render_report(report, args.format), file=out)
     elif args.command == "pic":
-        text = _read(args.input)
-        if is_distribution_document(text):
-            dist = parse_distribution_document(text)
-        else:
-            m = parse_bba_document(text)
-            report = report_for(m, _METHOD_FLAGS[args.method], 0.0, solver)
-            dist = report.distribution
+        dist = parse_bba_or_distribution(_read(args.input))
+        if isinstance(dist, MassFunction):
+            dist = report_for(dist, TransformKind(args.method), 0.0, solver).distribution
         print(f"{pic_score(dist).value:.6f}", file=out)
     elif args.command == "decide":
         m = parse_bba_document(_read(args.input))

@@ -9,26 +9,13 @@ automatically and remains available only by explicit request.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .frame import MassFunction
 from .metrics import PicScore, pic
-from .transforms import (
-    ProbabilityDistribution,
-    SolverConfig,
-    TransformResult,
-    apply_transform,
-)
-
-
-class TransformKind(enum.Enum):
-    BET_P = "BetP"
-    PRA_PL = "PraPl"
-    PR_PL = "PrPl"
-    PR_BL = "PrBl"
-    PR_SC_P = "PrScP"
+from .transforms import TRANSFORMS, ProbabilityDistribution, SolverConfig, TransformKind
 
 
 @dataclass(frozen=True)
@@ -46,6 +33,8 @@ class ThresholdSet:
         ):
             if len(triple) != 3:
                 raise ValidationError(f"{name} thresholds need exactly 3 values")
+            if not all(math.isfinite(x) for x in triple):
+                raise ValidationError(f"{name} thresholds must be finite, got {triple}")
             if not triple[0] < triple[1] < triple[2]:
                 raise ValidationError(
                     f"{name} thresholds must be strictly ascending, got {triple}"
@@ -110,7 +99,7 @@ def report_for(
     solver: SolverConfig = SolverConfig(),
 ) -> DecisionReport:
     """Build a DecisionReport for an explicitly chosen transform."""
-    result: TransformResult = apply_transform(kind.value, m, solver)
+    result = TRANSFORMS[kind](m, solver)
     return DecisionReport(
         method=kind,
         distribution=result.distribution,

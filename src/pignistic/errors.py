@@ -56,14 +56,15 @@ class UnsupportedDivergenceError(PignisticError):
 class ConvergenceError(PignisticError):
     """Fixed-point iteration exceeded its iteration budget.
 
-    Carries the last iterate and its residual for diagnosis.
+    Carries the last iterate, its residual and gap, and the iterations used.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None, iterations=None):
+    def __init__(self, message, last_iterate=None, residual=None, iterations=None, gap=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
         self.iterations = iterations
+        self.gap = gap
 
 
 class ParseError(PignisticError):

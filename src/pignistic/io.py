@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
-from .decision import DecisionReport, ThresholdSet, TransformKind
+from .decision import DecisionReport, ThresholdSet
 from .errors import MassFunctionError, ParseError, ValidationError
 from .frame import Frame, MassFunction
-from .transforms import ProbabilityDistribution
+from .transforms import ProbabilityDistribution, TransformKind
 
 
 def _reject_constant(name: str) -> None:
@@ -56,7 +56,10 @@ def parse_bba_document(text: str) -> MassFunction:
 
     Validation failures name the offending mass record by index.
     """
-    doc = _load_json(text)
+    return _mass_function_from(_load_json(text))
+
+
+def _mass_function_from(doc: Any) -> MassFunction:
     frame = _parse_frame(doc, "bba document")
     records = _require(doc, "masses", list, "bba document")
     assignments = []
@@ -116,7 +119,10 @@ def serialize_threshold_set(t: ThresholdSet) -> str:
 
 def parse_distribution_document(text: str) -> ProbabilityDistribution:
     """Parse {"frame": [...], "probabilities": [...]} into a distribution."""
-    doc = _load_json(text)
+    return _distribution_from(_load_json(text))
+
+
+def _distribution_from(doc: Any) -> ProbabilityDistribution:
     frame = _parse_frame(doc, "distribution document")
     probs = _require(doc, "probabilities", list, "distribution document")
     if len(probs) != frame.size:
@@ -129,10 +135,12 @@ def parse_distribution_document(text: str) -> ProbabilityDistribution:
         raise ValidationError(f"distribution document: {exc}") from exc
 
 
-def is_distribution_document(text: str) -> bool:
-    """Cheap sniff: does the document carry probabilities rather than masses?"""
+def parse_bba_or_distribution(text: str) -> MassFunction | ProbabilityDistribution:
+    """A distribution document if it has "probabilities", else a BBA document."""
     doc = _load_json(text)
-    return isinstance(doc, dict) and "probabilities" in doc
+    if isinstance(doc, dict) and "probabilities" in doc:
+        return _distribution_from(doc)
+    return _mass_function_from(doc)
 
 
 HUMAN = "table"

@@ -16,9 +16,10 @@ members:
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +27,25 @@ from .errors import ConvergenceError
 from .frame import Frame, MassFunction
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
+
+
+class TransformKind(enum.Enum):
+    """The five transforms; ``TransformKind("prscp")`` ignores case."""
+
+    BET_P = "BetP"
+    PRA_PL = "PraPl"
+    PR_PL = "PrPl"
+    PR_BL = "PrBl"
+    PR_SC_P = "PrScP"
+
+    @classmethod
+    def _missing_(cls, value):
+        for kind in cls:
+            if isinstance(value, str) and kind.value.lower() == value.lower():
+                return kind
+        raise ValueError(
+            f"unknown transform {value!r}; expected one of {[k.value for k in cls]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,10 @@ class TransformResult:
     iterations: int | None = None
 
 
+def _result(kind: TransformKind, m: MassFunction, p, **diagnostics) -> TransformResult:
+    return TransformResult(ProbabilityDistribution(m.frame, p), kind.value, **diagnostics)
+
+
 def _split(m: MassFunction, weights: np.ndarray) -> np.ndarray:
     """Singleton masses plus each compound focal set's mass shared among its
     members proportionally to ``weights`` (equally where all weigh zero):
@@ -118,7 +142,7 @@ def bet_p(m: MassFunction) -> TransformResult:
     """
     shares = m.masses / m.cardinality
     out = [math.fsum(shares[column].tolist()) for column in m.incidence.T]
-    return TransformResult(ProbabilityDistribution(m.frame, out), "BetP")
+    return _result(TransformKind.BET_P, m, out)
 
 
 def pra_pl(m: MassFunction) -> TransformResult:
@@ -132,15 +156,13 @@ def pra_pl(m: MassFunction) -> TransformResult:
     pl = m.singleton_plausibilities().values
     epsilon = (1.0 - bel.sum()) / pl.sum()
     out = bel + epsilon * pl
-    return TransformResult(
-        ProbabilityDistribution(m.frame, out), "PraPl", epsilon=epsilon
-    )
+    return _result(TransformKind.PRA_PL, m, out, epsilon=epsilon)
 
 
 def pr_pl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton Plausibilities."""
     out = _split(m, m.singleton_plausibilities().values)
-    return TransformResult(ProbabilityDistribution(m.frame, out), "PrPl")
+    return _result(TransformKind.PR_PL, m, out)
 
 
 def pr_bl(m: MassFunction) -> TransformResult:
@@ -150,7 +172,7 @@ def pr_bl(m: MassFunction) -> TransformResult:
     equally (the same insufficient-reason fallback as BetP).
     """
     out = _split(m, m.singleton_masses().values)
-    return TransformResult(ProbabilityDistribution(m.frame, out), "PrBl")
+    return _result(TransformKind.PR_BL, m, out)
 
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
@@ -158,149 +180,105 @@ def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
     return float(np.max(np.abs(_split(m, p.probabilities) - p.probabilities)))
 
 
+#: A returned PrScP point's optimality gap is at most this.
+GAP_TOLERANCE = 1e-6
+#: How far an extrapolated point may lower L and still be kept (SQUAREM's default).
+LIKELIHOOD_SLACK = 1.0
+
+
+def _log_likelihood(m: MassFunction, p: np.ndarray) -> float:
+    """``L(p) = sum_A m(A) log P(A)``, -inf where a focal set gets nothing."""
+    focal = m.incidence @ p
+    return float(m.masses @ np.log(focal)) if (focal > 0.0).all() else -math.inf
+
+
+def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray) -> float:
+    """Optimality gap ``max g_i - 1`` over ``support``, where
+    ``g_i = sum_{A ∋ i} m(A) / P(A)`` is L's gradient. As L is concave and
+    ``p . g = 1``, it bounds how far L(p) lies below L's maximum on ``support``."""
+    focal = m.incidence @ p
+    if not (focal > 0.0).all():
+        return math.inf
+    return float(((m.masses / focal) @ m.incidence)[support].max()) - 1.0
+
+
 def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> TransformResult:
     """Self-consistent pignistic transform.
 
-    Iterates "split mass proportionally to the current probabilities"
-    from the PrBl initialization until the max-norm step drops below
-    ``config.tolerance``. A small step alone does not prove a fixed
-    point, so the residual of the self-consistency equation is verified
-    as well (< 10x tolerance).
+    Splitting the mass proportionally to the current probabilities is the EM
+    map for the concave ``L(p) = sum_A m(A) log P(A)`` (Turnbull 1976). Zero
+    is absorbing and the map starts from PrBl, so the result is the maximiser
+    of L over the labels PrBl gives positive probability; the others stay 0.
 
-    Components heading to zero can decay sublinearly (roughly 1/k) or
-    geometrically with ratio near one, making plain iteration arbitrarily
-    slow. Every few iterations two accelerated candidates are therefore
-    tried: an Aitken extrapolation, and a "collapse" that sends every
-    still-decaying component to (almost) zero and lets the rest
-    re-equilibrate with plain steps. A candidate is kept only when it
-    clearly shrinks the fixed-point residual and any collapsed component
-    is locally attracted to zero (linearized mass-income growth factor at
-    most one). The convergence criteria are unchanged; acceleration only
-    shortens the path to them. When the self-consistency equation has
-    several fixed points, the accelerated path may settle on a different
-    one than unaccelerated iteration would; every returned point satisfies
-    the residual bound either way.
+    SQUAREM (Varadhan & Roland 2008) accelerates it: each cycle takes two EM
+    steps, extrapolates along them and takes a stabilising EM step, keeping
+    that point if it stays positive where the plain iterate is and lowers L
+    by at most ``LIKELIHOOD_SLACK``. A point is returned when its max-norm
+    step is below ``config.tolerance``, its residual below ten times that,
+    and its optimality gap at most ``GAP_TOLERANCE``. ``iterations`` counts
+    the EM map evaluations up to it, stabilising steps included.
     """
-
-    def residual_of(p: np.ndarray) -> float:
-        return float(np.max(np.abs(_split(m, p) - p)))
-
-    def collapse_is_stable(candidate: np.ndarray, reference: np.ndarray) -> bool:
-        """Zero is a fixed point for any component, so a candidate that
-        sends a component (near) zero must be checked: the collapse is
-        only legitimate when zero attracts it, i.e. when the linearized
-        growth factor of the component's mass income,
-        ``sum over compound A containing i of m(A) / (c(A) - c_i)``,
-        is at most one."""
-        dropped = (candidate < 1e-3 * reference) & (reference > 0.0)
-        if not bool(dropped.any()):
-            return True
-        # singleton mass keeps the component positive
-        if (m.singleton_masses().values[dropped] > 0.0).any():
-            return False
-        member = m.incidence[:, dropped] & (m.cardinality > 1.0)[:, None]
-        others = (m.incidence @ candidate)[:, None] - candidate[dropped]
-        if (others[member] <= 0.0).any():
-            return False
-        growth = np.divide(
-            m.masses[:, None], others, out=np.zeros_like(others), where=member
-        ).sum(axis=0)
-        return bool((growth <= 1.0 + 1e-6).all())
-
-    prev: np.ndarray | None = None
-    current = pr_bl(m).distribution.probabilities.copy()
-    polish_after = 0
-    polish_backoff = 8
-    for iteration in range(1, config.max_iterations + 1):
-        updated = _split(m, current)
-        step = float(np.max(np.abs(updated - current)))
-        if step < config.tolerance:
-            residual = residual_of(updated)
-            if residual < 10.0 * config.tolerance:
-                return TransformResult(
-                    ProbabilityDistribution(m.frame, updated),
-                    "PrScP",
-                    iterations=iteration,
-                )
-        if prev is not None and iteration % 4 == 0:
-            denom = updated - 2.0 * current + prev
-            safe = np.abs(denom) > 1e-300
-            accel = np.where(
-                safe,
-                prev - np.square(current - prev) / np.where(safe, denom, 1.0),
-                updated,
-            )
-            # zero is absorbing for this map, so a component must never be
-            # extrapolated to (or past) zero; fall back to the plain
-            # iterate where Aitken lands there
-            accel = np.where(accel > 0.0, accel, updated)
-            accel /= accel.sum()
-            ru = residual_of(updated)
-            ra = residual_of(accel)
-            # accept any clear improvement; sublinearly decaying components
-            # are often only halved per extrapolation, so the bar must sit
-            # safely above one half
-            bar = 0.75 * ru
-            if ra >= bar and iteration >= polish_after:
-                # second candidate: components still decaying this late are
-                # heading to zero (slow geometric or sublinear modes), so
-                # send them there outright, then let the rest re-equilibrate
-                # with plain steps before judging. Back off exponentially
-                # after a failed attempt so wasted polishing cannot dominate
-                # the run.
-                vanishing = (current - updated) > 0.25 * step
-                candidate = np.where(
-                    vanishing & (updated > 0.0),
-                    np.maximum(updated * 1e-20, 1e-300),
-                    updated,
-                )
-                candidate /= candidate.sum()
-                for _ in range(48):
-                    for _ in range(8):
-                        candidate = _split(m, candidate)
-                    polished = residual_of(candidate)
-                    if polished < bar:
-                        break
-                if polished < ra and collapse_is_stable(candidate, updated):
-                    accel, ra = candidate, polished
-                if ra >= bar:
-                    polish_after = iteration + polish_backoff
-                    polish_backoff = min(2 * polish_backoff, 512)
-            if ra < bar and collapse_is_stable(accel, updated):
-                polish_backoff = 8
-                updated = accel
-        prev, current = current, updated
-    residual = residual_of(current)
+    x = pr_bl(m).distribution.probabilities
+    support = x > 0.0
+    objective = _log_likelihood(m, x)
+    step_max = 1.0
+    iterations = 0
+    while iterations < config.max_iterations:
+        x1 = _split(m, x)
+        x2 = _split(m, x1)
+        iterations += 1
+        r, v = x1 - x, x2 - 2.0 * x1 + x
+        if (
+            np.abs(r).max() < config.tolerance
+            and np.abs(x2 - x1).max() < 10.0 * config.tolerance
+            and _gap(m, x1, support) <= GAP_TOLERANCE
+        ):
+            return _result(TransformKind.PR_SC_P, m, x1, iterations=iterations)
+        if iterations == config.max_iterations:
+            x = x1
+            break
+        iterations += 1
+        norm_v = float(np.linalg.norm(v))
+        alpha = min(max(float(np.linalg.norm(r)) / norm_v, 1.0), step_max) if norm_v else 1.0
+        y = x + 2.0 * alpha * r + alpha * alpha * v
+        # components that underflowed to zero in x2 stay there
+        accepted = iterations < config.max_iterations and ((y > 0.0) | (x2 == 0.0)).all()
+        if accepted:
+            y = _split(m, np.where(x2 > 0.0, y, 0.0))
+            iterations += 1
+            objective_y = _log_likelihood(m, y)
+            accepted = objective_y >= objective - LIKELIHOOD_SLACK
+        if accepted:
+            x, objective = y, objective_y
+            if alpha == step_max:
+                step_max *= 4.0
+        else:
+            x, objective = x2, _log_likelihood(m, x2)
+            step_max = max(1.0, step_max / 4.0)
+    residual = float(np.max(np.abs(_split(m, x) - x)))
+    gap = _gap(m, x, support)
     raise ConvergenceError(
-        f"no fixed point within {config.max_iterations} iterations "
-        f"(residual {residual:.3g})",
-        last_iterate=current,
+        f"no certified fixed point after {iterations} of {config.max_iterations} "
+        f"iterations (residual {residual:.3g}, gap {gap:.3g})",
+        last_iterate=x,
         residual=residual,
-        iterations=config.max_iterations,
+        iterations=iterations,
+        gap=gap,
     )
 
 
-TRANSFORMS = {
-    "BetP": bet_p,
-    "PraPl": pra_pl,
-    "PrPl": pr_pl,
-    "PrBl": pr_bl,
-    "PrScP": pr_sc_p,
+#: Every transform, called as ``fn(m, config)``; only PrScP reads ``config``.
+TRANSFORMS: dict[TransformKind, Callable[[MassFunction, SolverConfig], TransformResult]] = {
+    TransformKind.BET_P: lambda m, config: bet_p(m),
+    TransformKind.PRA_PL: lambda m, config: pra_pl(m),
+    TransformKind.PR_PL: lambda m, config: pr_pl(m),
+    TransformKind.PR_BL: lambda m, config: pr_bl(m),
+    TransformKind.PR_SC_P: pr_sc_p,
 }
-
-_BY_LOWER_NAME = {name.lower(): fn for name, fn in TRANSFORMS.items()}
 
 
 def apply_transform(
     method: str, m: MassFunction, config: SolverConfig = SolverConfig()
 ) -> TransformResult:
     """Dispatch by method name (case-insensitive)."""
-    try:
-        fn = _BY_LOWER_NAME[method.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown transform {method!r}; expected one of {sorted(TRANSFORMS)}"
-        ) from None
-    if fn is pr_sc_p:
-        return fn(m, config)
-    return fn(m)
+    return TRANSFORMS[TransformKind(method)](m, config)

@@ -58,3 +58,27 @@ def self_consistency_residual_oracle(masses, labels, probabilities):
                 total += m / len(s)
         residual = max(residual, abs(total - probabilities[label]))
     return residual
+
+
+def prbl_support_oracle(masses):
+    """Labels PrBl gives positive probability: those with singleton mass,
+    plus every member of a focal set with no such label (split equally)."""
+    singles = {label for s, m in masses.items() if len(s) == 1 and m > 0.0 for label in s}
+    support = set(singles)
+    for s, m in masses.items():
+        if m > 0.0 and not s & singles:
+            support |= s
+    return support
+
+
+def kkt_gap_oracle(masses, labels, probabilities):
+    """max over PrBl's support of g_i - 1, g_i = sum over focal sets A
+    containing i of m(A) / P(A): the optimality gap of PrScP's answer."""
+    g = {label: [] for label in labels}
+    for s, m in masses.items():
+        if m <= 0.0:
+            continue
+        denom = fsum(probabilities[x] for x in s)
+        for x in s:
+            g[x].append(m / denom if denom > 0.0 else float("inf"))
+    return max(fsum(g[label]) for label in prbl_support_oracle(masses)) - 1.0

@@ -139,3 +139,17 @@ class TestInvalidCatalog:
         )
         assert code == EXIT_INVALID_INPUT
         assert "error" in capsys.readouterr().err
+
+
+class TestInfiniteThreshold:
+    def test_overflowing_threshold_exits_one(self, capsys, combat_path, tmp_path):
+        # JSON 1e999 parses to infinity without passing through parse_constant
+        thresholds = tmp_path / "t.json"
+        thresholds.write_text('{"bel": [0.1, 0.2, 1e999], "pl": [1.2, 1.5, 1.8]}')
+        code = main(
+            ["decide", "--input", combat_path, "--thresholds", str(thresholds),
+             "--risk", "0.0455"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and "finite" in err

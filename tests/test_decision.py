@@ -150,3 +150,12 @@ class TestEvaluate:
         report = evaluate(combat_bba, STANDARD, 0.0455, SolverConfig())
         recomputed = decision_set(report.distribution, report.decision_threshold)
         assert tuple(recomputed) == report.selected
+
+
+class TestThresholdSetFinite:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            ThresholdSet((0.1, 0.2, bad), (1.2, 1.5, 1.8))
+        with pytest.raises(ValidationError):
+            ThresholdSet((0.1, 0.2, 0.3), (1.2, 1.5, bad))
