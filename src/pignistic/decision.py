@@ -54,13 +54,17 @@ class DecisionReport:
     iterations: int | None = None
 
 
-def decision_set(p: ProbabilityDistribution, threshold: float) -> list[str]:
-    """Labels whose probability strictly exceeds the threshold, in frame order."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
+def decision_set(p: ProbabilityDistribution, threshold: float) -> list[str]:
+    """Labels whose probability strictly exceeds the threshold, in frame order."""
+    _check_threshold(threshold)
     return [
         label
-        for label, prob in zip(p.frame.labels, p.probabilities)
+        for label, prob in zip(p.frame.labels, p.probabilities.tolist())
         if prob > threshold
     ]
 
@@ -98,7 +102,9 @@ def report_for(
     decision_threshold: float,
     solver: SolverConfig = SolverConfig(),
 ) -> DecisionReport:
-    """Build a DecisionReport for an explicitly chosen transform."""
+    """Build a DecisionReport for an explicitly chosen transform; the
+    threshold is checked before the transform runs."""
+    _check_threshold(decision_threshold)
     result = TRANSFORMS[kind](m, solver)
     return DecisionReport(
         method=kind,

@@ -12,8 +12,9 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,6 +37,10 @@ MAX_FRAME_SIZE = 64
 #: Masses must sum to 1 within this tolerance; inputs outside it are
 #: rejected rather than renormalized.
 MASS_SUM_TOLERANCE = 1e-9
+
+#: The types a mass may have, bool excepted; the concrete types come first
+#: because the abstract check is slow.
+_REAL = (float, int, numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -151,8 +156,8 @@ class SingletonVector:
             raise ValueError(
                 f"expected {frame.size} values, got shape {arr.shape}"
             )
-        if not (arr >= 0.0).all():
-            raise ValueError("singleton values must be non-negative numbers")
+        if not finite_non_negative(arr):
+            raise ValueError("singleton values must be finite and non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
@@ -181,9 +186,10 @@ class MassFunction:
 
     The focal sets with positive mass are kept once, in insertion order, as
     two aligned read-only arrays: ``bits`` (uint64 bitmasks) and ``masses``.
-    The k x n ``incidence`` matrix and the singleton Belief and
-    Plausibility vectors are built on first use and kept, so the object
-    stays immutable and safe to share between threads.
+    Construction also builds the k x n ``incidence`` matrix, the
+    cardinalities, the compound part of the masses and the singleton Belief
+    and Plausibility vectors, all read-only, so the object is immutable and
+    safe to share between threads.
     """
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
@@ -206,52 +212,46 @@ class MassFunction:
         m._store(frame, bits, masses)
         return m
 
-    def _store(self, frame: Frame, bits: list[int], masses: list[float]) -> None:
+    def _store(self, frame: Frame, bits: list[int], masses: list) -> None:
+        """Validate, then build every table the transforms read, once."""
         if 0 in bits:
             raise EmptySetMassError("the empty set is not a valid focal set")
-        values = np.array(masses, dtype=float)
-        # written so that NaN fails the test as well
-        outside = ~((values >= 0.0) & (values <= 1.0))
-        if outside.any():
-            i = int(outside.argmax())
-            raise MassOutOfRangeError(
-                f"mass {masses[i]} on {FocalSet(frame, bits[i]).labels} is outside [0, 1]"
-            )
+        values, sizes, singles = [], [], [0.0] * frame.size
+        for b, mass in zip(bits, masses):
+            real = isinstance(mass, _REAL) and not isinstance(mass, bool)
+            if not (real and 0.0 <= mass <= 1.0):  # NaN fails this as well
+                raise MassOutOfRangeError(
+                    f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"
+                )
+            values.append(float(mass))
+            sizes.append(b.bit_count())
+            if sizes[-1] == 1:
+                singles[b.bit_length() - 1] = values[-1]
         if len(set(bits)) != len(bits):
             twice = next(b for i, b in enumerate(bits) if b in bits[:i])
             raise DuplicateFocalSetError(
                 f"focal set {FocalSet(frame, twice).labels} assigned more than once"
             )
-        total = math.fsum(values.tolist())
+        total = math.fsum(values)
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise MassSumMismatchError(
                 f"masses sum to {total!r}, off by {total - 1.0:+.3g}"
             )
+        values = np.array(values)
         positive = values > 0.0
         self.frame = frame
         self.bits = _read_only(np.array(bits, dtype=np.uint64)[positive])
         self.masses = _read_only(values[positive])
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """k x n boolean matrix: row r marks the members of focal set r."""
         octets = self.bits.astype("<u8").view(np.uint8).reshape(-1, 8)
-        rows = np.unpackbits(octets, axis=1, count=self.frame.size, bitorder="little")
-        return _read_only(rows.view(bool))
-
-    @cached_property
-    def cardinality(self) -> np.ndarray:
-        """Number of members of each focal set, as floats."""
-        return _read_only(self.incidence.sum(axis=1, dtype=float))
-
-    @cached_property
-    def _singletons(self) -> SingletonVector:
-        single = self.cardinality == 1.0
-        return SingletonVector(self.frame, self.masses[single] @ self.incidence[single])
-
-    @cached_property
-    def _plausibilities(self) -> SingletonVector:
-        return SingletonVector(self.frame, self.masses @ self.incidence)
+        rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
+        #: k x n boolean matrix: row r marks the members of focal set r.
+        self.incidence = _read_only(rows.view(bool))
+        #: Number of members of each focal set, as floats.
+        self.cardinality = _read_only(np.array(sizes, dtype=float)[positive])
+        #: ``masses`` with the singleton rows zeroed: the mass the transforms split.
+        self.compound_masses = _read_only(np.where(self.cardinality > 1.0, self.masses, 0.0))
+        self._singletons = SingletonVector(frame, singles)
+        self._plausibilities = SingletonVector(frame, self.masses @ self.incidence)
 
     def focal_sets(self) -> Iterator[tuple[FocalSet, float]]:
         """Focal sets with strictly positive mass, with their masses."""
@@ -302,6 +302,12 @@ class MassFunction:
             for bits, mass in sorted(zip(self.bits.tolist(), self.masses.tolist()))
         )
         return f"MassFunction({parts})"
+
+
+def finite_non_negative(values: np.ndarray) -> bool:
+    """Whether every value is finite and non-negative (NaN is not). On the
+    short vectors of a frame, a Python loop beats numpy's reductions."""
+    return all(0.0 <= v < math.inf for v in values.tolist())
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

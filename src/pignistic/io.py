@@ -151,7 +151,7 @@ def _report_record(report: DecisionReport) -> dict:
     record = {
         "method": report.method.value,
         "frame": list(report.distribution.frame.labels),
-        "probabilities": [float(p) for p in report.distribution.probabilities],
+        "probabilities": report.distribution.probabilities.tolist(),
         "pic": report.pic.value,
         "decision_threshold": report.decision_threshold,
         "selected": list(report.selected),
@@ -165,7 +165,7 @@ def _report_record(report: DecisionReport) -> dict:
 
 def render_report(report: DecisionReport, fmt: str = HUMAN) -> str:
     if fmt == MACHINE:
-        return json.dumps(_report_record(report), indent=2)
+        return json.dumps(_report_record(report))
     if fmt != HUMAN:
         raise ValueError(f"unknown format {fmt!r}")
     frame = report.distribution.frame
@@ -189,7 +189,7 @@ def render_report(report: DecisionReport, fmt: str = HUMAN) -> str:
 def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> str:
     """Side-by-side table of several transforms over the same frame."""
     if fmt == MACHINE:
-        return json.dumps([_report_record(r) for r in reports], indent=2)
+        return json.dumps([_report_record(r) for r in reports])
     if fmt != HUMAN:
         raise ValueError(f"unknown format {fmt!r}")
     frame = reports[0].distribution.frame

@@ -33,7 +33,7 @@ def pic(p: ProbabilityDistribution) -> PicScore:
     n = p.frame.size
     if n == 1:
         return PicScore(1.0)
-    entropy = math.fsum(q * math.log(q) for q in p.probabilities if q > 0.0)
+    entropy = math.fsum(q * math.log(q) for q in p.probabilities.tolist() if q > 0.0)
     value = 1.0 + entropy / math.log(n)
     # negligible negative drift from float summation near the uniform case
     return PicScore(min(1.0, max(0.0, value)))
@@ -47,7 +47,6 @@ def kl_divergence(p: ProbabilityDistribution, q: ProbabilityDistribution) -> flo
     """
     if p.frame != q.frame:
         raise FrameMismatchError("distributions are over different frames")
-    total = 0.0
     terms = []
     for pi, qi in zip(p.probabilities, q.probabilities):
         if pi == 0.0:
@@ -57,5 +56,4 @@ def kl_divergence(p: ProbabilityDistribution, q: ProbabilityDistribution) -> flo
                 "p has mass where q has none; divergence is infinite"
             )
         terms.append(pi * math.log(pi / qi))
-    total = math.fsum(terms)
-    return max(0.0, total)
+    return max(0.0, math.fsum(terms))

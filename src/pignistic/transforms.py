@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .frame import Frame, MassFunction
+from .frame import Frame, MassFunction, finite_non_negative
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
@@ -59,7 +59,7 @@ class ProbabilityDistribution:
         arr = np.asarray(probabilities, dtype=float)
         if arr.shape != (frame.size,):
             raise ValueError(f"expected {frame.size} probabilities, got {arr.shape}")
-        if not (np.isfinite(arr) & (arr >= 0.0)).all():
+        if not finite_non_negative(arr):
             raise ValueError("probabilities must be finite and non-negative")
         if abs(arr.sum() - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
@@ -118,20 +118,20 @@ def _result(kind: TransformKind, m: MassFunction, p, **diagnostics) -> Transform
 def _split(m: MassFunction, weights: np.ndarray) -> np.ndarray:
     """Singleton masses plus each compound focal set's mass shared among its
     members proportionally to ``weights`` (equally where all weigh zero):
-    ``single + w * M^T (m_c / M_c w)``. Adding singleton mass as it is keeps
-    Bayesian inputs exact fixed points (no w/w rounding)."""
+    ``single + w * M^T (m_c / M w)``, where ``m_c`` is zero on the singleton
+    rows. Adding singleton mass as it is keeps Bayesian inputs exact fixed
+    points (no w/w rounding)."""
     M = m.incidence
-    compound = m.cardinality > 1.0
     denom = M @ weights
-    proportional = compound & (denom > 0.0)
+    single = m.singleton_masses().values
+    if denom.min() > 0.0:
+        return single + weights * ((m.compound_masses / denom) @ M)
+    proportional = denom > 0.0
     per_weight = np.divide(
-        m.masses, denom, out=np.zeros_like(denom), where=proportional
+        m.compound_masses, denom, out=np.zeros_like(denom), where=proportional
     )
-    out = m.singleton_masses().values + weights * (per_weight @ M)
-    equal = compound & ~proportional
-    if equal.any():
-        out += np.where(equal, m.masses / m.cardinality, 0.0) @ M
-    return out
+    out = single + weights * (per_weight @ M)
+    return out + np.where(proportional, 0.0, m.compound_masses / m.cardinality) @ M
 
 
 def bet_p(m: MassFunction) -> TransformResult:
@@ -189,7 +189,7 @@ LIKELIHOOD_SLACK = 1.0
 def _log_likelihood(m: MassFunction, p: np.ndarray) -> float:
     """``L(p) = sum_A m(A) log P(A)``, -inf where a focal set gets nothing."""
     focal = m.incidence @ p
-    return float(m.masses @ np.log(focal)) if (focal > 0.0).all() else -math.inf
+    return float(m.masses @ np.log(focal)) if focal.min() > 0.0 else -math.inf
 
 
 def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray) -> float:
@@ -197,7 +197,7 @@ def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray) -> float:
     ``g_i = sum_{A ∋ i} m(A) / P(A)`` is L's gradient. As L is concave and
     ``p . g = 1``, it bounds how far L(p) lies below L's maximum on ``support``."""
     focal = m.incidence @ p
-    if not (focal > 0.0).all():
+    if not focal.min() > 0.0:
         return math.inf
     return float(((m.masses / focal) @ m.incidence)[support].max()) - 1.0
 
@@ -238,8 +238,8 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
             x = x1
             break
         iterations += 1
-        norm_v = float(np.linalg.norm(v))
-        alpha = min(max(float(np.linalg.norm(r)) / norm_v, 1.0), step_max) if norm_v else 1.0
+        norm_v = math.sqrt(v @ v)
+        alpha = min(max(math.sqrt(r @ r) / norm_v, 1.0), step_max) if norm_v else 1.0
         y = x + 2.0 * alpha * r + alpha * alpha * v
         # components that underflowed to zero in x2 stay there
         accepted = iterations < config.max_iterations and ((y > 0.0) | (x2 == 0.0)).all()

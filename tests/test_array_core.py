@@ -8,6 +8,7 @@ frozenset split, over frames of up to 64 labels.
 
 import math
 import random
+from fractions import Fraction
 import sys
 import threading
 
@@ -217,6 +218,21 @@ class TestNonFiniteInput:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(MassOutOfRangeError):
                 MassFunction.from_labels(frame, [(["a"], 1.0), (["b"], bad)])
+
+    @pytest.mark.parametrize("bad", ["1.0", b"1", True, [1.0], 1 + 0j])
+    def test_mass_function_rejects_non_numbers(self, bad):
+        frame = Frame(["a", "b"])
+        with pytest.raises(MassOutOfRangeError):
+            MassFunction.from_labels(frame, [(["a"], bad)])
+        with pytest.raises(MassOutOfRangeError):
+            MassFunction(frame, {frame.singleton("a"): bad})
+
+    def test_mass_function_accepts_real_numbers(self):
+        frame = Frame(["a", "b"])
+        m = MassFunction.from_labels(
+            frame, [(["a"], np.float64(0.5)), (["b"], Fraction(1, 4)), (["a", "b"], 1 / 4)]
+        )
+        assert m.masses.tolist() == [0.5, 0.25, 0.25]
 
     def test_distribution_rejects_nan(self):
         with pytest.raises(ValueError):

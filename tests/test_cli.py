@@ -2,7 +2,14 @@ import json
 
 import pytest
 
+from pignistic import TransformKind, evaluate, report_for
 from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from pignistic.io import (
+    parse_bba_document,
+    parse_threshold_document,
+    render_comparison,
+    render_report,
+)
 
 
 @pytest.fixture
@@ -46,6 +53,17 @@ class TestTransformCommand:
         )
         assert code == EXIT_NO_CONVERGENCE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("risk", ["nan", "2", "-0.5"])
+    def test_bad_risk_exits_one_before_the_solver(self, capsys, combat_path, risk):
+        # one iteration is too few, so the solver would exit 2 if it ran first
+        code = main(
+            ["transform", "--method", "prscp", "--input", combat_path,
+             "--risk", risk, "--max-iter", "1"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and "threshold" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code = main(
@@ -153,3 +171,33 @@ class TestInfiniteThreshold:
         out, err = capsys.readouterr()
         assert code == EXIT_INVALID_INPUT
         assert out == "" and "finite" in err
+
+
+class TestRecordFormat:
+    """``--format record`` writes one JSON line, equal to the in-process result."""
+
+    def test_decide_record_is_one_line(self, capsys, combat_path, thresholds_path):
+        code = main(
+            ["decide", "--input", combat_path, "--thresholds", thresholds_path,
+             "--risk", "0.0455", "--format", "record"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.count("\n") == 1 and out.endswith("\n")
+        m = parse_bba_document(open(combat_path).read())
+        thresholds = parse_threshold_document(open(thresholds_path).read())
+        expected = render_report(evaluate(m, thresholds, 0.0455), "record")
+        assert json.loads(out) == json.loads(expected)
+
+    def test_compare_record_is_one_line(self, capsys, combat_path):
+        code = main(
+            ["compare", "--input", combat_path, "--risk", "0.0455", "--format", "record"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.count("\n") == 1 and out.endswith("\n")
+        m = parse_bba_document(open(combat_path).read())
+        reports = [report_for(m, kind, 0.0455) for kind in TransformKind]
+        records = json.loads(out)
+        assert records == json.loads(render_comparison(reports, "record"))
+        assert [r["method"] for r in records] == [k.value for k in TransformKind]

@@ -201,6 +201,11 @@ class TestSingletonVectors:
         with pytest.raises(ValueError):
             SingletonVector(Frame(["a", "b"]), [0.5, -0.1])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SingletonVector(Frame(["a", "b"]), [bad, 0.0])
+
 
 class TestSums:
     def test_combat_sums(self, combat_bba):

@@ -183,3 +183,38 @@ class TestRenderComparison:
         reports = [report_for(combat_bba, k, 0.0455) for k in TransformKind]
         parsed = json.loads(render_comparison(reports, MACHINE))
         assert [r["method"] for r in parsed] == [k.value for k in TransformKind]
+
+
+def expected_record(report):
+    """The record a report renders to, written out field by field."""
+    record = {
+        "method": report.method.value,
+        "frame": list(report.distribution.frame.labels),
+        "probabilities": report.distribution.probabilities.tolist(),
+        "pic": report.pic.value,
+        "decision_threshold": report.decision_threshold,
+        "selected": list(report.selected),
+    }
+    if report.epsilon is not None:
+        record["epsilon"] = report.epsilon
+    if report.iterations is not None:
+        record["iterations"] = report.iterations
+    return record
+
+
+class TestRecordFormat:
+    """A machine record is one line of JSON holding every report field."""
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_report_record(self, combat_bba, kind):
+        report = report_for(combat_bba, kind, 0.0455)
+        text = render_report(report, MACHINE)
+        assert "\n" not in text
+        assert json.loads(text) == expected_record(report)
+        assert expected_record(parse_report_record(text)) == expected_record(report)
+
+    def test_comparison_record(self, combat_bba):
+        reports = [report_for(combat_bba, k, 0.0455) for k in TransformKind]
+        text = render_comparison(reports, MACHINE)
+        assert "\n" not in text
+        assert json.loads(text) == [expected_record(r) for r in reports]
