@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,8 +185,8 @@ class TestRecordFormat:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.count("\n") == 1 and out.endswith("\n")
-        m = parse_bba_document(open(combat_path).read())
-        thresholds = parse_threshold_document(open(thresholds_path).read())
+        m = parse_bba_document(Path(combat_path).read_text())
+        thresholds = parse_threshold_document(Path(thresholds_path).read_text())
         expected = render_report(evaluate(m, thresholds, 0.0455), "record")
         assert json.loads(out) == json.loads(expected)
 
@@ -196,7 +197,7 @@ class TestRecordFormat:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.count("\n") == 1 and out.endswith("\n")
-        m = parse_bba_document(open(combat_path).read())
+        m = parse_bba_document(Path(combat_path).read_text())
         reports = [report_for(m, kind, 0.0455) for kind in TransformKind]
         records = json.loads(out)
         assert records == json.loads(render_comparison(reports, "record"))
