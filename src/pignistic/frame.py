@@ -151,14 +151,14 @@ class SingletonVector:
     values: np.ndarray = field(compare=False)
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         if arr.shape != (frame.size,):
             raise ValueError(
                 f"expected {frame.size} values, got shape {arr.shape}"
             )
-        if not finite_non_negative(arr):
+        if not finite_non_negative(arr.tolist()):
             raise ValueError("singleton values must be finite and non-negative")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
 
@@ -172,7 +172,8 @@ class SingletonVector:
 
     @property
     def total(self) -> float:
-        return float(self.values.sum())
+        """The exactly rounded sum of the values (``math.fsum``)."""
+        return math.fsum(self.values.tolist())
 
 
 class MassFunction:
@@ -208,6 +209,10 @@ class MassFunction:
         for members, mass in assignments:
             bits.append(frame._mask(members))
             masses.append(mass)
+        return cls._from_bits(frame, bits, masses)
+
+    @classmethod
+    def _from_bits(cls, frame: Frame, bits: list[int], masses: list) -> MassFunction:
         m = cls.__new__(cls)
         m._store(frame, bits, masses)
         return m
@@ -216,17 +221,22 @@ class MassFunction:
         """Validate, then build every table the transforms read, once."""
         if 0 in bits:
             raise EmptySetMassError("the empty set is not a valid focal set")
-        values, sizes, singles = [], [], [0.0] * frame.size
+        kept, values, sizes, compound, singles = [], [], [], [], [0.0] * frame.size
         for b, mass in zip(bits, masses):
-            real = isinstance(mass, _REAL) and not isinstance(mass, bool)
+            real = type(mass) is float or isinstance(mass, _REAL) and not isinstance(mass, bool)
             if not (real and 0.0 <= mass <= 1.0):  # NaN fails this as well
                 raise MassOutOfRangeError(
                     f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"
                 )
-            values.append(float(mass))
-            sizes.append(b.bit_count())
-            if sizes[-1] == 1:
-                singles[b.bit_length() - 1] = values[-1]
+            if mass > 0.0:
+                mass = float(mass)
+                size = b.bit_count()
+                kept.append(b)
+                values.append(mass)
+                sizes.append(size)
+                if size == 1:
+                    singles[b.bit_length() - 1] = mass
+                compound.append(mass if size > 1 else 0.0)
         if len(set(bits)) != len(bits):
             twice = next(b for i, b in enumerate(bits) if b in bits[:i])
             raise DuplicateFocalSetError(
@@ -237,19 +247,18 @@ class MassFunction:
             raise MassSumMismatchError(
                 f"masses sum to {total!r}, off by {total - 1.0:+.3g}"
             )
-        values = np.array(values)
-        positive = values > 0.0
         self.frame = frame
-        self.bits = _read_only(np.array(bits, dtype=np.uint64)[positive])
-        self.masses = _read_only(values[positive])
-        octets = self.bits.astype("<u8").view(np.uint8).reshape(-1, 8)
+        # little-endian whatever the host, so the byte view below lists bit 0 first
+        self.bits = _read_only(np.array(kept, dtype="<u8"))
+        self.masses = _read_only(np.array(values))
+        octets = self.bits.view(np.uint8).reshape(-1, 8)
         rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
         #: k x n boolean matrix: row r marks the members of focal set r.
         self.incidence = _read_only(rows.view(bool))
         #: Number of members of each focal set, as floats.
-        self.cardinality = _read_only(np.array(sizes, dtype=float)[positive])
+        self.cardinality = _read_only(np.array(sizes, dtype=float))
         #: ``masses`` with the singleton rows zeroed: the mass the transforms split.
-        self.compound_masses = _read_only(np.where(self.cardinality > 1.0, self.masses, 0.0))
+        self.compound_masses = _read_only(np.array(compound))
         self._singletons = SingletonVector(frame, singles)
         self._plausibilities = SingletonVector(frame, self.masses @ self.incidence)
 
@@ -304,14 +313,14 @@ class MassFunction:
         return f"MassFunction({parts})"
 
 
-def finite_non_negative(values: np.ndarray) -> bool:
+def finite_non_negative(values: list[float]) -> bool:
     """Whether every value is finite and non-negative (NaN is not). On the
     short vectors of a frame, a Python loop beats numpy's reductions."""
-    return all(0.0 <= v < math.inf for v in values.tolist())
+    return all(0.0 <= v < math.inf for v in values)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 

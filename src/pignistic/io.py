@@ -10,10 +10,10 @@ so downstream pipelines never compound rounding.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from .decision import DecisionReport, ThresholdSet
-from .errors import MassFunctionError, ParseError, ValidationError
+from .errors import MassFunctionError, ParseError, UnknownLabelError, ValidationError
 from .frame import Frame, MassFunction
 from .transforms import ProbabilityDistribution, TransformKind
 
@@ -22,24 +22,35 @@ def _reject_constant(name: str) -> None:
     raise ParseError(f"non-finite number {name} is not allowed")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # as json.loads reports it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
 
-def _require(doc: dict, key: str, kind: type, where: str) -> Any:
+#: ``kind`` for a field that holds a number.
+_NUMBER = (int, float)
+
+
+def _require(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> Any:
+    """``doc[key]``, which must be an instance of ``kind`` and not a bool."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "number" if kind is _NUMBER else kind.__name__
         raise ParseError(
-            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            f"{where}: field {key!r} must be {what}, got {type(value).__name__}"
         )
     return value
 
@@ -60,22 +71,46 @@ def parse_bba_document(text: str) -> MassFunction:
 
 
 def _mass_function_from(doc: Any) -> MassFunction:
+    """One pass over the mass records: each is type-checked and its labels
+    ORed into a bitmask, then the tables are built from the bitmasks. An
+    unknown label is reported only once every record has passed its check."""
     frame = _parse_frame(doc, "bba document")
     records = _require(doc, "masses", list, "bba document")
-    assignments = []
-    for i, record in enumerate(records):
-        where = f"masses[{i}]"
-        elements = _require(record, "elements", list, where)
-        if not all(isinstance(l, str) for l in elements):
-            raise ParseError(f"{where}: elements must be strings")
-        mass = record.get("mass")
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-            raise ParseError(f"{where}: field 'mass' must be a number")
-        assignments.append((elements, float(mass)))
+    bit_of = frame._bits
+    bits, masses, unknown = [], [], None
+    for record in records:
+        try:
+            elements, mass = record["elements"], record["mass"]
+        except (KeyError, TypeError):
+            elements = mass = None
+        if type(elements) is not list or type(mass) is not float and type(mass) is not int:
+            _reject_record(record, len(bits))
+        b = 0
+        try:
+            for label in elements:
+                b |= bit_of[label]
+        except (KeyError, TypeError):
+            if not all(isinstance(l, str) for l in elements):
+                _reject_record(record, len(bits))
+            if unknown is None:
+                unknown = label
+        bits.append(b)
+        masses.append(mass)
+    if unknown is not None:
+        raise UnknownLabelError(f"bba document: label {unknown!r} not in frame {frame.labels}")
     try:
-        return MassFunction.from_labels(frame, assignments)
+        return MassFunction._from_bits(frame, bits, masses)
     except MassFunctionError as exc:
         raise type(exc)(f"bba document: {exc}") from exc
+
+
+def _reject_record(record: Any, i: int) -> NoReturn:
+    """Raise the ParseError naming what is wrong with mass record ``i``."""
+    where = f"masses[{i}]"
+    elements = _require(record, "elements", list, where)
+    if not all(isinstance(l, str) for l in elements):
+        raise ParseError(f"{where}: elements must be strings")
+    raise ParseError(f"{where}: field 'mass' must be a number")
 
 
 def serialize_mass_function(m: MassFunction) -> str:
@@ -226,9 +261,9 @@ def parse_report_record(text: str) -> DecisionReport:
     return DecisionReport(
         method=method,
         distribution=ProbabilityDistribution(frame, probs),
-        pic=PicScore(doc["pic"]),
-        decision_threshold=doc["decision_threshold"],
-        selected=tuple(doc["selected"]),
+        pic=PicScore(_require(doc, "pic", _NUMBER, "report record")),
+        decision_threshold=_require(doc, "decision_threshold", _NUMBER, "report record"),
+        selected=tuple(_require(doc, "selected", list, "report record")),
         epsilon=doc.get("epsilon"),
         iterations=doc.get("iterations"),
     )

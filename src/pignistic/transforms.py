@@ -56,14 +56,16 @@ class ProbabilityDistribution:
     probabilities: np.ndarray = field(compare=False)
 
     def __init__(self, frame: Frame, probabilities: Sequence[float] | np.ndarray):
-        arr = np.asarray(probabilities, dtype=float)
+        arr = np.array(probabilities, dtype=float)  # a copy: the caller's array stays theirs
         if arr.shape != (frame.size,):
             raise ValueError(f"expected {frame.size} probabilities, got {arr.shape}")
-        if not finite_non_negative(arr):
+        values = arr.tolist()
+        if not finite_non_negative(values):
             raise ValueError("probabilities must be finite and non-negative")
-        if abs(arr.sum() - 1.0) > PROBABILITY_SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
-        arr.flags.writeable = False
+        total = math.fsum(values)
+        if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "probabilities", arr)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pignistic import (
@@ -206,6 +207,12 @@ class TestSingletonVectors:
         with pytest.raises(ValueError):
             SingletonVector(Frame(["a", "b"]), [bad, 0.0])
 
+    def test_input_array_is_copied(self):
+        values = np.array([0.25, 0.5])
+        vector = SingletonVector(Frame(["a", "b"]), values)
+        values[0] = 1.0
+        assert vector.values.tolist() == [0.25, 0.5]
+
 
 class TestSums:
     def test_combat_sums(self, combat_bba):
@@ -217,6 +224,17 @@ class TestSums:
         m = make_mass_function(frame, [(["a"], 0.5), (["b"], 0.25), (["c"], 0.25)])
         assert m.sum_bel() == pytest.approx(1.0, abs=1e-12)
         assert m.sum_pl() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sums_are_fsum(self):
+        # numpy's sums read 0.9100000000000001 and 1.36 on these vectors
+        labels = [f"h{i}" for i in range(8)]
+        singles = [0.17, 0.07, 0.17, 0.03, 0.01, 0.2, 0.19, 0.07]
+        m = make_mass_function(
+            Frame(labels),
+            [([l], x) for l, x in zip(labels, singles)] + [(labels[:5], 1 - math.fsum(singles))],
+        )
+        assert m.sum_bel() == math.fsum(m.singleton_beliefs().values.tolist()) == 0.91
+        assert m.sum_pl() == math.fsum(m.singleton_plausibilities().values.tolist()) == 1.3599999999999999
 
     def test_bel_bounds_pl(self, combat_frame, combat_bba):
         for subset in powerset(combat_frame.labels):

@@ -78,6 +78,42 @@ class TestParseBba:
                 '{"frame": ["a"], "masses": [{"elements": ["a"]}]}'
             )
 
+    # One malformed record after a valid one: the error type, and the
+    # record's index where the message names one.
+    @pytest.mark.parametrize(
+        "record, error, names_record",
+        [
+            ('["a"]', ParseError, True),
+            ('{"mass": 0.5}', ParseError, True),
+            ('{"elements": "a", "mass": 0.5}', ParseError, True),
+            ('{"elements": ["a", 1], "mass": 0.5}', ParseError, True),
+            ('{"elements": ["zz"], "mass": 0.5}', UnknownLabelError, False),
+            ('{"elements": ["b"]}', ParseError, True),
+            ('{"elements": ["b"], "mass": "0.5"}', ParseError, True),
+            ('{"elements": ["b"], "mass": true}', ParseError, True),
+            ('{"elements": ["b"], "mass": NaN}', ParseError, False),
+        ],
+    )
+    def test_malformed_record(self, record, error, names_record):
+        text = f'{{"frame": ["a", "b"], "masses": [{{"elements": ["a"], "mass": 0.5}}, {record}]}}'
+        with pytest.raises(error) as err:
+            parse_bba_document(text)
+        assert type(err.value) is error
+        assert ("masses[1]" in str(err.value)) == names_record
+
+    def test_type_errors_come_before_unknown_labels(self):
+        text = json.dumps({
+            "frame": ["a", "b"],
+            "masses": [{"elements": ["zz"], "mass": 0.5}, {"elements": ["b"], "mass": "x"}],
+        })
+        with pytest.raises(ParseError, match=r"masses\[1\]"):
+            parse_bba_document(text)
+
+    def test_huge_integer_mass(self):
+        text = '{"frame": ["a"], "masses": [{"elements": ["a"], "mass": 1%s}]}' % ("0" * 400)
+        with pytest.raises(MassOutOfRangeError):
+            parse_bba_document(text)
+
     def test_round_trip(self, data_dir):
         m = parse_bba_document((data_dir / "combat_id.json").read_text())
         again = parse_bba_document(serialize_mass_function(m))
@@ -163,6 +199,19 @@ class TestRenderReport:
         report = report_for(combat_bba, TransformKind.BET_P, 0.0)
         with pytest.raises(ValueError):
             render_report(report, "yaml")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pic", None), ("pic", "x"), ("decision_threshold", None), ("selected", "a")],
+    )
+    def test_malformed_record_field(self, combat_bba, field, value):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        with pytest.raises(ParseError, match=field):
+            parse_report_record(json.dumps(record))
 
 
 class TestRenderComparison:

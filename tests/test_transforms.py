@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pignistic import (
     pra_pl,
     prscp_residual,
 )
+from pignistic.transforms import PROBABILITY_SUM_TOLERANCE
 
 # Paper-reported combat-ID outputs, six decimals.
 COMBAT_EXPECTED = {
@@ -212,6 +215,31 @@ class TestProbabilityDistribution:
     def test_label_access(self, two_frame):
         p = ProbabilityDistribution(two_frame, [0.75, 0.25])
         assert p["a"] == 0.75
+
+    def test_input_array_is_copied(self, two_frame):
+        values = np.array([0.5, 0.5])
+        p = ProbabilityDistribution(two_frame, values)
+        values[0] = 1.0
+        assert p.probabilities.tolist() == [0.5, 0.5]
+
+    # Eight values whose exact sum is 1 + 0.99999986e-9 and eight whose exact
+    # sum is 1 + 1.00000008e-9; numpy's pairwise sum reads the opposite way.
+    JUST_INSIDE = [
+        0.16859792172655302, 0.09924856142623904, 0.06205964464675677, 0.12150688305697921,
+        0.13660425089852604, 0.17094556441884348, 0.1663251456711702, 0.07471202915493211,
+    ]
+    JUST_OUTSIDE = [
+        0.08299681785300891, 0.023327359978654164, 0.1856797663449241, 0.1598742150436967,
+        0.14941839197545703, 0.059996990025689645, 0.20372723296565762, 0.1349792268129118,
+    ]
+
+    def test_sum_tolerance_is_on_fsum(self):
+        frame = Frame([f"h{i}" for i in range(8)])
+        assert abs(math.fsum(self.JUST_INSIDE) - 1.0) <= PROBABILITY_SUM_TOLERANCE
+        assert abs(math.fsum(self.JUST_OUTSIDE) - 1.0) > PROBABILITY_SUM_TOLERANCE
+        ProbabilityDistribution(frame, self.JUST_INSIDE)
+        with pytest.raises(ValueError):
+            ProbabilityDistribution(frame, self.JUST_OUTSIDE)
 
     def test_immutable(self, two_frame):
         p = ProbabilityDistribution(two_frame, [0.75, 0.25])
