@@ -222,8 +222,8 @@ class TestProbabilityDistribution:
         values[0] = 1.0
         assert p.probabilities.tolist() == [0.5, 0.5]
 
-    # Eight values whose exact sum is 1 + 0.99999986e-9 and eight whose exact
-    # sum is 1 + 1.00000008e-9; numpy's pairwise sum reads the opposite way.
+    # Eight values whose fsum is 1 + 0.99999986e-9 and eight whose fsum is
+    # 1 + 1.00000008e-9; numpy's sum reads the opposite way on each.
     JUST_INSIDE = [
         0.16859792172655302, 0.09924856142623904, 0.06205964464675677, 0.12150688305697921,
         0.13660425089852604, 0.17094556441884348, 0.1663251456711702, 0.07471202915493211,
