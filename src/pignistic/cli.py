@@ -36,11 +36,11 @@ EXIT_NO_CONVERGENCE = 2
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tolerance", type=float, default=1e-12,
+        "--tolerance", type=float, default=SolverConfig.tolerance,
         help="max-norm step threshold for the self-consistent solver",
     )
     parser.add_argument(
-        "--max-iter", type=int, default=1000,
+        "--max-iter", type=int, default=SolverConfig.max_iterations,
         help="iteration budget for the self-consistent solver",
     )
 

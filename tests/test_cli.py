@@ -149,14 +149,19 @@ class TestInvalidCatalog:
             "empty_set_mass.json",
             "duplicate_focal.json",
             "mass_out_of_range.json",
+            "bom.json",
+            "frame_label_not_string.json",
+            "thresholds_not_triple.json",
+            "thresholds_profile_not_string.json",
         ],
     )
-    def test_exit_code_one(self, capsys, data_dir, name):
-        code = main(
-            ["transform", "--method", "betp",
-             "--input", str(data_dir / "invalid" / name)]
-        )
-        assert code == EXIT_INVALID_INPUT
+    def test_exit_code_one(self, capsys, data_dir, combat_path, name):
+        path = str(data_dir / "invalid" / name)
+        if name.startswith("thresholds_"):
+            argv = ["decide", "--input", combat_path, "--thresholds", path, "--risk", "0.0455"]
+        else:
+            argv = ["transform", "--method", "betp", "--input", path]
+        assert main(argv) == EXIT_INVALID_INPUT
         assert "error" in capsys.readouterr().err
 
 

@@ -30,6 +30,7 @@ class TestThresholdSet:
             ((0.5, 0.3, 0.7), (1.2, 1.5, 1.8)),
             ((0.3, 0.5, 0.7), (1.5, 1.2, 1.8)),
             ((0.3, 0.3, 0.7), (1.2, 1.5, 1.8)),
+            ((0.3, 0.5), (1.2, 1.5, 1.8)),
         ],
     )
     def test_ordering_enforced(self, bel, pl):

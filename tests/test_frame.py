@@ -68,6 +68,8 @@ class TestFocalSet:
         frame = Frame(["a", "b"])
         with pytest.raises(UnknownLabelError):
             frame.subset(["z"])
+        with pytest.raises(UnknownLabelError):
+            FocalSet(frame, 0b100)
 
     def test_set_relations(self):
         frame = Frame(["a", "b", "c"])
@@ -206,6 +208,10 @@ class TestSingletonVectors:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError):
             SingletonVector(Frame(["a", "b"]), [bad, 0.0])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            SingletonVector(Frame(["a", "b"]), [1.0])
 
     def test_input_array_is_copied(self):
         values = np.array([0.25, 0.5])

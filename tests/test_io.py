@@ -199,6 +199,8 @@ class TestRenderReport:
         report = report_for(combat_bba, TransformKind.BET_P, 0.0)
         with pytest.raises(ValueError):
             render_report(report, "yaml")
+        with pytest.raises(ValueError):
+            render_comparison([report], "yaml")
 
     @pytest.mark.parametrize(
         "field, value",

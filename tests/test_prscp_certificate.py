@@ -121,14 +121,17 @@ def test_criterion_7_grid_is_certified():
     assert worst <= GAP_BOUND
 
 
-def test_convergence_error_reports_gap_and_budget(combat_bba):
+# A budget of 1 runs out right after the first EM pair; one of 5 runs out
+# at the second cycle's extrapolation, with no room for its stabilising step.
+@pytest.mark.parametrize("budget", [1, 5])
+def test_convergence_error_reports_gap_and_budget(combat_bba, budget):
     with pytest.raises(ConvergenceError) as err:
-        pr_sc_p(combat_bba, SolverConfig(tolerance=1e-15, max_iterations=5))
-    assert err.value.iterations == 5
+        pr_sc_p(combat_bba, SolverConfig(tolerance=1e-15, max_iterations=budget))
+    assert err.value.iterations == budget
     assert 0.0 <= err.value.gap < float("inf")
     message = str(err.value)
     assert f"gap {err.value.gap:.3g}" in message
-    assert "5 of 5 iterations" in message
+    assert f"{budget} of {budget} iterations" in message
 
 
 def test_cli_convergence_error_names_gap(capsys, data_dir):

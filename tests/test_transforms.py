@@ -212,6 +212,10 @@ class TestProbabilityDistribution:
         with pytest.raises(ValueError):
             ProbabilityDistribution(two_frame, [1.2, -0.2])
 
+    def test_wrong_shape_rejected(self, two_frame):
+        with pytest.raises(ValueError, match="expected 2 probabilities"):
+            ProbabilityDistribution(two_frame, [1.0])
+
     def test_label_access(self, two_frame):
         p = ProbabilityDistribution(two_frame, [0.75, 0.25])
         assert p["a"] == 0.75
