@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on validation or parse errors, 2 when the
+Exit codes: 0 on success, 1 on usage, validation or parse errors, 2 when the
 self-consistent solver fails to converge, so shell pipelines can tell bad
 input apart from numerical failure.
 """
@@ -100,9 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise PignisticError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise PignisticError(f"cannot read {path}: {exc}") from exc
 
 
 def _run(args: argparse.Namespace, out) -> None:
@@ -130,13 +132,16 @@ def _run(args: argparse.Namespace, out) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1, as 2 means no convergence; --help 0
+        return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     try:
         _run(args, sys.stdout)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (PignisticError, ValueError) as exc:
+    except PignisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     return EXIT_OK

@@ -56,7 +56,7 @@ class DecisionReport:
 
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        raise ValidationError(f"threshold must lie in [0, 1], got {threshold}")
 
 
 def decision_set(p: ProbabilityDistribution, threshold: float) -> list[str]:

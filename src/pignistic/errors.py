@@ -71,5 +71,5 @@ class ParseError(PignisticError):
     """Malformed document text (syntax level)."""
 
 
-class ValidationError(PignisticError):
-    """Well-formed document with invalid content (semantic level)."""
+class ValidationError(PignisticError, ValueError):
+    """A value breaks a rule of the code that checks it; also a ``ValueError``."""

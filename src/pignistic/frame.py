@@ -30,6 +30,7 @@ from .errors import (
     MassOutOfRangeError,
     MassSumMismatchError,
     UnknownLabelError,
+    ValidationError,
 )
 
 MAX_FRAME_SIZE = 64
@@ -149,21 +150,28 @@ class SingletonVector:
 
     frame: Frame
     values: np.ndarray = field(compare=False)
+    _noun = "values"  # what the error messages call the values
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
         arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         if arr.shape != (frame.size,):
-            raise ValueError(
-                f"expected {frame.size} values, got shape {arr.shape}"
+            raise ValidationError(
+                f"expected {frame.size} {self._noun}, got shape {arr.shape}"
             )
-        if not finite_non_negative(arr.tolist()):
-            raise ValueError("singleton values must be finite and non-negative")
+        # on the short vectors of a frame, a Python loop beats numpy's reductions
+        if not all(0.0 <= v < math.inf for v in arr.tolist()):  # NaN fails too
+            raise ValidationError(f"{self._noun} must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
 
     def __getitem__(self, label: str) -> float:
         return float(self.values[self.frame.index(label)])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.frame == other.frame and np.array_equal(self.values, other.values)
 
     def sum_over(self, subset: FocalSet) -> float:
         """Sum of the values over the singletons of ``subset``."""
@@ -311,12 +319,6 @@ class MassFunction:
             for bits, mass in sorted(zip(self.bits.tolist(), self.masses.tolist()))
         )
         return f"MassFunction({parts})"
-
-
-def finite_non_negative(values: list[float]) -> bool:
-    """Whether every value is finite and non-negative (NaN is not). On the
-    short vectors of a frame, a Python loop beats numpy's reductions."""
-    return all(0.0 <= v < math.inf for v in values)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ def _load_json(text: str) -> Any:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long or nesting too deep
+        raise ParseError(f"malformed JSON: {exc}") from exc
 
 
 #: ``kind`` for a field that holds a number.
@@ -53,6 +55,14 @@ def _require(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> 
             f"{where}: field {key!r} must be {what}, got {type(value).__name__}"
         )
     return value
+
+
+def _numbers(doc: dict, key: str, where: str) -> list:
+    """``doc[key]``, which must be a list of numbers, bools excluded."""
+    values = _require(doc, key, list, where)
+    if not all(type(x) in _NUMBER for x in values):
+        raise ParseError(f"{where}: field {key!r} must be a list of numbers")
+    return values
 
 
 def _parse_frame(doc: dict, where: str) -> Frame:
@@ -126,15 +136,8 @@ def serialize_mass_function(m: MassFunction) -> str:
 
 def parse_threshold_document(text: str) -> ThresholdSet:
     doc = _load_json(text)
-    bel = _require(doc, "bel", list, "threshold document")
-    pl = _require(doc, "pl", list, "threshold document")
-    for name, triple in (("bel", bel), ("pl", pl)):
-        if len(triple) != 3 or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple
-        ):
-            raise ParseError(
-                f"threshold document: {name!r} must be a list of 3 numbers"
-            )
+    bel = _numbers(doc, "bel", "threshold document")
+    pl = _numbers(doc, "pl", "threshold document")
     profile = doc.get("profile_name", "")
     if not isinstance(profile, str):
         raise ParseError("threshold document: 'profile_name' must be a string")
@@ -159,15 +162,7 @@ def parse_distribution_document(text: str) -> ProbabilityDistribution:
 
 def _distribution_from(doc: Any) -> ProbabilityDistribution:
     frame = _parse_frame(doc, "distribution document")
-    probs = _require(doc, "probabilities", list, "distribution document")
-    if len(probs) != frame.size:
-        raise ValidationError(
-            f"distribution document: {frame.size} labels but {len(probs)} probabilities"
-        )
-    try:
-        return ProbabilityDistribution(frame, probs)
-    except ValueError as exc:
-        raise ValidationError(f"distribution document: {exc}") from exc
+    return ProbabilityDistribution(frame, _numbers(doc, "probabilities", "distribution document"))
 
 
 def parse_bba_or_distribution(text: str) -> MassFunction | ProbabilityDistribution:
@@ -202,7 +197,7 @@ def render_report(report: DecisionReport, fmt: str = HUMAN) -> str:
     if fmt == MACHINE:
         return json.dumps(_report_record(report))
     if fmt != HUMAN:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValidationError(f"unknown format {fmt!r}")
     frame = report.distribution.frame
     width = max(len(label) for label in frame.labels)
     lines = [f"method: {report.method.value}"]
@@ -226,7 +221,7 @@ def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> st
     if fmt == MACHINE:
         return json.dumps([_report_record(r) for r in reports])
     if fmt != HUMAN:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValidationError(f"unknown format {fmt!r}")
     frame = reports[0].distribution.frame
     label_width = max(len("hypothesis"), *(len(l) for l in frame.labels))
     col = 10
@@ -255,15 +250,16 @@ def parse_report_record(text: str) -> DecisionReport:
     from .metrics import PicScore
 
     doc = _load_json(text)
-    frame = _parse_frame(doc, "report record")
-    probs = _require(doc, "probabilities", list, "report record")
-    method = TransformKind(_require(doc, "method", str, "report record"))
+    where = "report record"
+    frame = _parse_frame(doc, where)
+    probs = _numbers(doc, "probabilities", where)
+    method = TransformKind(_require(doc, "method", str, where))
     return DecisionReport(
         method=method,
         distribution=ProbabilityDistribution(frame, probs),
-        pic=PicScore(_require(doc, "pic", _NUMBER, "report record")),
-        decision_threshold=_require(doc, "decision_threshold", _NUMBER, "report record"),
-        selected=tuple(_require(doc, "selected", list, "report record")),
-        epsilon=doc.get("epsilon"),
-        iterations=doc.get("iterations"),
+        pic=PicScore(_require(doc, "pic", _NUMBER, where)),
+        decision_threshold=_require(doc, "decision_threshold", _NUMBER, where),
+        selected=tuple(_require(doc, "selected", list, where)),
+        epsilon=_require(doc, "epsilon", _NUMBER, where) if "epsilon" in doc else None,
+        iterations=_require(doc, "iterations", int, where) if "iterations" in doc else None,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FrameMismatchError, UnsupportedDivergenceError
+from .errors import FrameMismatchError, UnsupportedDivergenceError, ValidationError
 from .transforms import ProbabilityDistribution
 
 
@@ -21,7 +21,7 @@ class PicScore:
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"PIC must lie in [0, 1], got {self.value}")
+            raise ValidationError(f"PIC must lie in [0, 1], got {self.value}")
 
 
 def pic(p: ProbabilityDistribution) -> PicScore:

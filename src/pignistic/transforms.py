@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .frame import Frame, MassFunction, finite_non_negative
+from .errors import ConvergenceError, ValidationError
+from .frame import Frame, MassFunction, SingletonVector
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
@@ -43,41 +43,24 @@ class TransformKind(enum.Enum):
         for kind in cls:
             if isinstance(value, str) and kind.value.lower() == value.lower():
                 return kind
-        raise ValueError(
+        raise ValidationError(
             f"unknown transform {value!r}; expected one of {[k.value for k in cls]}"
         )
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+class ProbabilityDistribution(SingletonVector):
     """Per-singleton probabilities over a frame, summing to one."""
 
-    frame: Frame
-    probabilities: np.ndarray = field(compare=False)
+    _noun = "probabilities"
 
     def __init__(self, frame: Frame, probabilities: Sequence[float] | np.ndarray):
-        arr = np.array(probabilities, dtype=float)  # a copy: the caller's array stays theirs
-        if arr.shape != (frame.size,):
-            raise ValueError(f"expected {frame.size} probabilities, got {arr.shape}")
-        values = arr.tolist()
-        if not finite_non_negative(values):
-            raise ValueError("probabilities must be finite and non-negative")
-        total = math.fsum(values)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "probabilities", arr)
+        super().__init__(frame, probabilities)
+        if abs(self.total - 1.0) > PROBABILITY_SUM_TOLERANCE:
+            raise ValidationError(f"probabilities sum to {self.total!r}, not 1")
 
-    def __getitem__(self, label: str) -> float:
-        return float(self.probabilities[self.frame.index(label)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProbabilityDistribution):
-            return NotImplemented
-        return self.frame == other.frame and np.array_equal(
-            self.probabilities, other.probabilities
-        )
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -94,9 +77,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, not {self.tolerance}")
+            raise ValidationError(f"tolerance must be positive and finite, not {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ValidationError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,33 @@ class TestTransformCommand:
         )
         assert code == EXIT_INVALID_INPUT
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"frame": ["\u00e9"], "masses": []}'.encode("latin-1"))
+        code = main(["transform", "--method", "betp", "--input", str(path)])
+        assert code == EXIT_INVALID_INPUT
+        assert f"error: cannot read {path}" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """argparse exits 2 on a usage error, but 2 means no convergence here."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--risk", "abc"], ["--max-iter", "x"], []],
+        ids=["risk-abc", "max-iter-x", "no-input"],
+    )
+    def test_usage_error_exits_one(self, capsys, combat_path, thresholds_path, flags):
+        argv = ["decide", "--thresholds", thresholds_path, "--risk", "0.0455", *flags]
+        if flags:
+            argv += ["--input", combat_path]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["decide", "--help"]) == EXIT_OK
+        assert "--risk" in capsys.readouterr().out
+
 
 class TestPicCommand:
     def test_from_bba(self, capsys, combat_path):

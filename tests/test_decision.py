@@ -4,7 +4,9 @@ import pytest
 
 from pignistic import (
     Frame,
+    PicScore,
     ProbabilityDistribution,
+    SingletonVector,
     SolverConfig,
     ThresholdSet,
     TransformKind,
@@ -14,8 +16,10 @@ from pignistic import (
     make_mass_function,
     pr_bl,
     pr_sc_p,
+    report_for,
     select_transform,
 )
+from pignistic.io import render_comparison, render_report
 
 STANDARD = ThresholdSet((0.3, 0.5, 0.7), (1.2, 1.5, 1.8), "standard")
 
@@ -160,3 +164,25 @@ class TestThresholdSetFinite:
             ThresholdSet((0.1, 0.2, bad), (1.2, 1.5, 1.8))
         with pytest.raises(ValidationError):
             ThresholdSet((0.1, 0.2, 0.3), (1.2, 1.5, bad))
+
+
+# Each library check that rejects a value, with a value it rejects.
+LIBRARY_CHECKS = {
+    "SingletonVector shape": lambda r: SingletonVector(Frame(["a", "b"]), [1.0]),
+    "SingletonVector negative": lambda r: SingletonVector(Frame(["a"]), [-1.0]),
+    "ProbabilityDistribution sum": lambda r: ProbabilityDistribution(Frame(["a"]), [0.5]),
+    "SolverConfig tolerance": lambda r: SolverConfig(tolerance=0.0),
+    "SolverConfig max_iterations": lambda r: SolverConfig(max_iterations=0),
+    "PicScore": lambda r: PicScore(1.5),
+    "decision threshold": lambda r: decision_set(r.distribution, 2.0),
+    "TransformKind": lambda r: TransformKind("nope"),
+    "render_report format": lambda r: render_report(r, "yaml"),
+    "render_comparison format": lambda r: render_comparison([r], "yaml"),
+}
+
+
+@pytest.mark.parametrize("check", LIBRARY_CHECKS.values(), ids=LIBRARY_CHECKS.keys())
+def test_library_checks_raise_validation_error(combat_bba, check):
+    report = report_for(combat_bba, TransformKind.BET_P, 0.0)
+    with pytest.raises(ValidationError):
+        check(report)

@@ -219,6 +219,12 @@ class TestSingletonVectors:
         values[0] = 1.0
         assert vector.values.tolist() == [0.25, 0.5]
 
+    def test_equality_compares_values(self):
+        frame = Frame(["a", "b"])
+        assert SingletonVector(frame, [1, 2]) != SingletonVector(frame, [3, 4])
+        assert SingletonVector(frame, [1, 2]) == SingletonVector(frame, [1.0, 2.0])
+        assert hash(SingletonVector(frame, [1, 2])) == hash(SingletonVector(frame, [3, 4]))
+
 
 class TestSums:
     def test_combat_sums(self, combat_bba):

@@ -8,6 +8,7 @@ from pignistic import (
     MassOutOfRangeError,
     MassSumMismatchError,
     ParseError,
+    PignisticError,
     TransformKind,
     UnknownLabelError,
     ValidationError,
@@ -114,6 +115,18 @@ class TestParseBba:
         with pytest.raises(MassOutOfRangeError):
             parse_bba_document(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"frame": ["a"], "masses": [{"elements": ["a"], "mass": 1%s}]}' % ("0" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["5000-digit-mass", "deep-nesting"],
+    )
+    def test_json_the_decoder_cannot_convert(self, text):
+        with pytest.raises(ParseError):
+            parse_bba_document(text)
+
     def test_round_trip(self, data_dir):
         m = parse_bba_document((data_dir / "combat_id.json").read_text())
         again = parse_bba_document(serialize_mass_function(m))
@@ -170,6 +183,12 @@ class TestParseDistribution:
                 '{"frame": ["a", "b"], "probabilities": [0.9, 0.9]}'
             )
 
+    def test_bool_probabilities(self):
+        with pytest.raises(ParseError):
+            parse_distribution_document(
+                '{"frame": ["a", "b"], "probabilities": [true, false]}'
+            )
+
 
 class TestRenderReport:
     def test_human_six_decimals(self, combat_bba):
@@ -204,7 +223,10 @@ class TestRenderReport:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("pic", None), ("pic", "x"), ("decision_threshold", None), ("selected", "a")],
+        [
+            ("pic", None), ("pic", "x"), ("decision_threshold", None), ("selected", "a"),
+            ("epsilon", "x"), ("iterations", "x"), ("iterations", True),
+        ],
     )
     def test_malformed_record_field(self, combat_bba, field, value):
         record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
@@ -213,6 +235,21 @@ class TestRenderReport:
         else:
             record[field] = value
         with pytest.raises(ParseError, match=field):
+            parse_report_record(json.dumps(record))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("probabilities", [1.0]),
+            ("probabilities", ["x", 0.5, 0.25, 0.25]),
+            ("method", "nope"),
+            ("pic", 1.5),
+        ],
+    )
+    def test_invalid_record_value(self, combat_bba, field, value):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
+        record[field] = value
+        with pytest.raises(PignisticError):
             parse_report_record(json.dumps(record))
 
 

@@ -7,6 +7,7 @@ from pignistic import (
     ConvergenceError,
     Frame,
     ProbabilityDistribution,
+    SingletonVector,
     SolverConfig,
     apply_transform,
     bet_p,
@@ -219,6 +220,13 @@ class TestProbabilityDistribution:
     def test_label_access(self, two_frame):
         p = ProbabilityDistribution(two_frame, [0.75, 0.25])
         assert p["a"] == 0.75
+
+    def test_never_equals_a_singleton_vector(self, two_frame):
+        p = ProbabilityDistribution(two_frame, [0.75, 0.25])
+        vector = SingletonVector(two_frame, [0.75, 0.25])
+        assert p != vector and vector != p
+        assert p == ProbabilityDistribution(two_frame, [0.75, 0.25])
+        assert p != ProbabilityDistribution(two_frame, [0.25, 0.75])
 
     def test_input_array_is_copied(self, two_frame):
         values = np.array([0.5, 0.5])
