@@ -9,8 +9,8 @@ automatically and remains available only by explicit request.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from sys import float_info
 
 from .errors import ValidationError
 from .frame import MassFunction
@@ -33,7 +33,7 @@ class ThresholdSet:
         ):
             if len(triple) != 3:
                 raise ValidationError(f"{name} thresholds need exactly 3 values")
-            if not all(math.isfinite(x) for x in triple):
+            if not all(-float_info.max <= x <= float_info.max for x in triple):  # NaN fails
                 raise ValidationError(f"{name} thresholds must be finite, got {triple}")
             if not triple[0] < triple[1] < triple[2]:
                 raise ValidationError(

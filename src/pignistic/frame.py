@@ -57,7 +57,7 @@ class Frame:
             raise EmptyFrameError("a frame needs at least one label")
         bits: dict[str, int] = {}
         for i, label in enumerate(labels):
-            if not label:
+            if not isinstance(label, str) or not label:
                 raise EmptyFrameError("frame labels must be non-empty strings")
             if label in bits:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
@@ -153,7 +153,10 @@ class SingletonVector:
     _noun = "values"  # what the error messages call the values
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
-        arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
+        try:
+            arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
+        except OverflowError:  # an integer too large for a float
+            raise ValidationError(f"{self._noun} must be finite and non-negative") from None
         if arr.shape != (frame.size,):
             raise ValidationError(
                 f"expected {frame.size} {self._noun}, got shape {arr.shape}"
@@ -197,8 +200,9 @@ class MassFunction:
     two aligned read-only arrays: ``bits`` (uint64 bitmasks) and ``masses``.
     Construction also builds the k x n ``incidence`` matrix, the
     cardinalities, the compound part of the masses and the singleton Belief
-    and Plausibility vectors, all read-only, so the object is immutable and
-    safe to share between threads.
+    and Plausibility arrays, all read-only, and the sums of the last two, so
+    the object is immutable and safe to share between threads. The singleton
+    accessors wrap a copy of an array in a new ``SingletonVector`` per call.
     """
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
@@ -258,17 +262,19 @@ class MassFunction:
         self.frame = frame
         # little-endian whatever the host, so the byte view below lists bit 0 first
         self.bits = _read_only(np.array(kept, dtype="<u8"))
-        self.masses = _read_only(np.array(values))
+        #: The masses, the number of members of each focal set (as floats) and
+        #: the masses with the singleton rows zeroed: the mass the transforms split.
+        self.masses, self.cardinality, self.compound_masses = _read_only(
+            np.array((values, sizes, compound))
+        )
         octets = self.bits.view(np.uint8).reshape(-1, 8)
         rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
         #: k x n boolean matrix: row r marks the members of focal set r.
         self.incidence = _read_only(rows.view(bool))
-        #: Number of members of each focal set, as floats.
-        self.cardinality = _read_only(np.array(sizes, dtype=float))
-        #: ``masses`` with the singleton rows zeroed: the mass the transforms split.
-        self.compound_masses = _read_only(np.array(compound))
-        self._singletons = SingletonVector(frame, singles)
-        self._plausibilities = SingletonVector(frame, self.masses @ self.incidence)
+        # singleton Bel (the singleton masses) and Pl, and their exactly rounded sums
+        self._bel = _read_only(np.array(singles))
+        self._pl = _read_only(self.masses @ self.incidence)
+        self._sum_bel, self._sum_pl = math.fsum(singles), math.fsum(self._pl.tolist())
 
     def focal_sets(self) -> Iterator[tuple[FocalSet, float]]:
         """Focal sets with strictly positive mass, with their masses."""
@@ -297,21 +303,21 @@ class MassFunction:
 
     def singleton_beliefs(self) -> SingletonVector:
         """Bel({x}) is the mass of {x} itself: the singleton masses."""
-        return self._singletons
+        return SingletonVector(self.frame, self._bel)
 
     singleton_masses = singleton_beliefs
 
     def singleton_plausibilities(self) -> SingletonVector:
         """Pl({x}) = sum of the masses of the focal sets containing x."""
-        return self._plausibilities
+        return SingletonVector(self.frame, self._pl)
 
     def sum_bel(self) -> float:
         """Sum of singleton Beliefs; at most 1, with equality iff Bayesian."""
-        return self.singleton_beliefs().total
+        return self._sum_bel
 
     def sum_pl(self) -> float:
         """Sum of singleton Plausibilities; at least 1, with equality iff Bayesian."""
-        return self.singleton_plausibilities().total
+        return self._sum_pl
 
     def __repr__(self) -> str:
         parts = ", ".join(

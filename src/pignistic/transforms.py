@@ -108,7 +108,7 @@ def _split(m: MassFunction, weights: np.ndarray) -> np.ndarray:
     points (no w/w rounding)."""
     M = m.incidence
     denom = M @ weights
-    single = m.singleton_masses().values
+    single = m._bel
     if denom.min() > 0.0:
         return single + weights * ((m.compound_masses / denom) @ M)
     proportional = denom > 0.0
@@ -137,14 +137,14 @@ def pra_pl(m: MassFunction) -> TransformResult:
     so the output sums to one by construction. Unlike the other transforms,
     the per-singleton upper bound Pl can be exceeded for some inputs.
     """
-    epsilon = (1.0 - m.sum_bel()) / m.sum_pl()
-    out = m.singleton_beliefs().values + epsilon * m.singleton_plausibilities().values
+    epsilon = (1.0 - m._sum_bel) / m._sum_pl
+    out = m._bel + epsilon * m._pl
     return _result(TransformKind.PRA_PL, m, out, epsilon=epsilon)
 
 
 def pr_pl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton Plausibilities."""
-    out = _split(m, m.singleton_plausibilities().values)
+    out = _split(m, m._pl)
     return _result(TransformKind.PR_PL, m, out)
 
 
@@ -154,7 +154,7 @@ def pr_bl(m: MassFunction) -> TransformResult:
     Focal sets none of whose members carry singleton mass are split
     equally (the same insufficient-reason fallback as BetP).
     """
-    out = _split(m, m.singleton_masses().values)
+    out = _split(m, m._bel)
     return _result(TransformKind.PR_BL, m, out)
 
 
@@ -195,7 +195,7 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
     map evaluations up to it, stabilising steps included.
     """
-    x = pr_bl(m).distribution.probabilities
+    x = _split(m, m._bel)  # PrBl
     support = x > 0.0
     step_max = 1.0
     iterations = 0

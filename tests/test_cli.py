@@ -206,6 +206,32 @@ class TestInfiniteThreshold:
         assert out == "" and "finite" in err
 
 
+class TestIntegerTooLargeForAFloat:
+    """A 401-digit JSON integer is a value error (exit 1, one line), not a traceback."""
+
+    BIG = "1" + "0" * 400
+
+    def assert_one_error_line(self, capsys, code):
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_pic_distribution(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(f'{{"frame": ["a", "b"], "probabilities": [{self.BIG}, 0]}}')
+        self.assert_one_error_line(capsys, main(["pic", "--input", str(path)]))
+
+    def test_decide_thresholds(self, capsys, combat_path, tmp_path):
+        thresholds = tmp_path / "t.json"
+        thresholds.write_text(f'{{"bel": [0.1, 0.2, {self.BIG}], "pl": [1.2, 1.5, 1.8]}}')
+        code = main(
+            ["decide", "--input", combat_path, "--thresholds", str(thresholds),
+             "--risk", "0.0455"]
+        )
+        self.assert_one_error_line(capsys, code)
+
+
 class TestRecordFormat:
     """``--format record`` writes one JSON line, equal to the in-process result."""
 

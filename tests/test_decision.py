@@ -165,6 +165,11 @@ class TestThresholdSetFinite:
         with pytest.raises(ValidationError):
             ThresholdSet((0.1, 0.2, 0.3), (1.2, 1.5, bad))
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_too_large_for_a_float_rejected(self, big):
+        with pytest.raises(ValidationError, match="finite"):
+            ThresholdSet(tuple(sorted((0.1, 0.2, big))), (1.2, 1.5, 1.8))
+
 
 # Each library check that rejects a value, with a value it rejects.
 LIBRARY_CHECKS = {

@@ -17,6 +17,7 @@ from pignistic import (
     MassSumMismatchError,
     SingletonVector,
     UnknownLabelError,
+    ValidationError,
     make_frame,
     make_mass_function,
 )
@@ -44,6 +45,11 @@ class TestFrame:
     def test_empty_label(self):
         with pytest.raises(EmptyFrameError):
             make_frame(["a", ""])
+
+    @pytest.mark.parametrize("labels", [[1, 2], [b"a"], [("a",)]], ids=["int", "bytes", "tuple"])
+    def test_non_string_label(self, labels):
+        with pytest.raises(EmptyFrameError, match="non-empty strings"):
+            make_frame(labels)
 
     def test_too_large(self):
         make_frame([f"h{i}" for i in range(64)])  # at capacity is fine
@@ -213,6 +219,10 @@ class TestSingletonVectors:
         with pytest.raises(ValueError, match="shape"):
             SingletonVector(Frame(["a", "b"]), [1.0])
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            SingletonVector(Frame(["a", "b"]), [10**400, 0])
+
     def test_input_array_is_copied(self):
         values = np.array([0.25, 0.5])
         vector = SingletonVector(Frame(["a", "b"]), values)
@@ -247,6 +257,24 @@ class TestSums:
         )
         assert m.sum_bel() == math.fsum(m.singleton_beliefs().values.tolist()) == 0.91
         assert m.sum_pl() == math.fsum(m.singleton_plausibilities().values.tolist()) == 1.3599999999999999
+
+    def test_accessors_wrap_the_stored_tables(self, combat_bba):
+        for vector, table in [
+            (combat_bba.singleton_beliefs(), combat_bba._bel),
+            (combat_bba.singleton_masses(), combat_bba._bel),
+            (combat_bba.singleton_plausibilities(), combat_bba._pl),
+        ]:
+            assert type(vector) is SingletonVector
+            assert vector.frame == combat_bba.frame
+            assert vector.values.tolist() == table.tolist()
+            assert not np.shares_memory(vector.values, table)
+
+    @pytest.mark.parametrize(
+        "table", ["masses", "cardinality", "compound_masses", "_bel", "_pl"]
+    )
+    def test_tables_are_read_only(self, combat_bba, table):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(combat_bba, table)[0] = 0.5
 
     def test_bel_bounds_pl(self, combat_frame, combat_bba):
         for subset in powerset(combat_frame.labels):

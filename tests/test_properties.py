@@ -105,6 +105,13 @@ def test_sum_bel_and_sum_pl_bracket_one(m):
     assert m.sum_pl() >= 1.0 - 1e-9
 
 
+@given(mass_functions())
+def test_stored_sums_are_fsum_of_the_vectors(m):
+    # bit for bit: the selector compares these sums against its thresholds
+    assert m.sum_bel() == math.fsum(m.singleton_beliefs().values.tolist())
+    assert m.sum_pl() == math.fsum(m.singleton_plausibilities().values.tolist())
+
+
 @given(bayesian_mass_functions())
 @settings(deadline=None)
 def test_bayesian_fixed_points(m):
