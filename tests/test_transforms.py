@@ -9,7 +9,6 @@ from pignistic import (
     ProbabilityDistribution,
     SingletonVector,
     SolverConfig,
-    ValidationError,
     apply_transform,
     bet_p,
     make_mass_function,
@@ -217,10 +216,6 @@ class TestProbabilityDistribution:
     def test_wrong_shape_rejected(self, two_frame):
         with pytest.raises(ValueError, match="expected 2 probabilities"):
             ProbabilityDistribution(two_frame, [1.0])
-
-    def test_integer_too_large_for_a_float_rejected(self, two_frame):
-        with pytest.raises(ValidationError, match="finite"):
-            ProbabilityDistribution(two_frame, [10**400, 0])
 
     def test_label_access(self, two_frame):
         p = ProbabilityDistribution(two_frame, [0.75, 0.25])
