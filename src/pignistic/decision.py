@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from sys import float_info
 
 from .errors import ValidationError
-from .frame import MassFunction
+from .frame import MassFunction, _is_real
 from .metrics import PicScore, pic
 from .transforms import TRANSFORMS, ProbabilityDistribution, SolverConfig, TransformKind
 
@@ -33,8 +33,8 @@ class ThresholdSet:
         ):
             if len(triple) != 3:
                 raise ValidationError(f"{name} thresholds need exactly 3 values")
-            if not all(-float_info.max <= x <= float_info.max for x in triple):  # NaN fails
-                raise ValidationError(f"{name} thresholds must be finite, got {triple}")
+            if not all(_is_real(x) and -float_info.max <= x <= float_info.max for x in triple):
+                raise ValidationError(f"{name} thresholds must be finite numbers, got {triple}")
             if not triple[0] < triple[1] < triple[2]:
                 raise ValidationError(
                     f"{name} thresholds must be strictly ascending, got {triple}"
@@ -55,7 +55,7 @@ class DecisionReport:
 
 
 def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
+    if not ((type(threshold) is float or _is_real(threshold)) and 0.0 <= threshold <= 1.0):
         raise ValidationError(f"threshold must lie in [0, 1], got {threshold}")
 
 

@@ -39,9 +39,10 @@ MAX_FRAME_SIZE = 64
 #: rejected rather than renormalized.
 MASS_SUM_TOLERANCE = 1e-9
 
-#: The types a mass may have, bool excepted; the concrete types come first
-#: because the abstract check is slow.
-_REAL = (float, int, numbers.Real)
+
+def _is_real(x) -> bool:
+    """A real number but not a bool; the abstract ``numbers.Real`` check is slow."""
+    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ class SingletonVector:
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
         try:
             arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
-        except OverflowError:  # an integer too large for a float
-            raise ValidationError(f"{self._noun} must be finite and non-negative") from None
+        except (OverflowError, TypeError, ValueError):  # a non-number, or an int too large
+            raise ValidationError(f"{self._noun} must be finite non-negative numbers") from None
         if arr.shape != (frame.size,):
             raise ValidationError(
                 f"expected {frame.size} {self._noun}, got shape {arr.shape}"
@@ -235,7 +236,7 @@ class MassFunction:
             raise EmptySetMassError("the empty set is not a valid focal set")
         kept, values, sizes, compound, singles = [], [], [], [], [0.0] * frame.size
         for b, mass in zip(bits, masses):
-            real = type(mass) is float or isinstance(mass, _REAL) and not isinstance(mass, bool)
+            real = type(mass) is float or _is_real(mass)
             if not (real and 0.0 <= mass <= 1.0):  # NaN fails this as well
                 raise MassOutOfRangeError(
                     f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"

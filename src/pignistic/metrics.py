@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FrameMismatchError, UnsupportedDivergenceError, ValidationError
+from .frame import _is_real
 from .transforms import ProbabilityDistribution
 
 
@@ -20,7 +21,7 @@ class PicScore:
     value: float
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
+        if not ((type(self.value) is float or _is_real(self.value)) and 0.0 <= self.value <= 1.0):
             raise ValidationError(f"PIC must lie in [0, 1], got {self.value}")
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .frame import Frame, MassFunction, SingletonVector
+from .frame import Frame, MassFunction, SingletonVector, _is_real
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
@@ -76,10 +76,10 @@ class SolverConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
+        if not (_is_real(self.tolerance) and 0.0 < self.tolerance < math.inf):
             raise ValidationError(f"tolerance must be positive and finite, not {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValidationError(f"max_iterations {self.max_iterations!r} is not an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,13 @@ def _result(kind: TransformKind, m: MassFunction, p, **diagnostics) -> Transform
     return TransformResult(ProbabilityDistribution(m.frame, p), kind.value, **diagnostics)
 
 
-def _split(m: MassFunction, weights: np.ndarray) -> np.ndarray:
+def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Singleton masses plus each compound focal set's mass shared among its
     members proportionally to ``weights`` (equally where all weigh zero):
     ``single + w * M^T (m_c / M w)``, where ``m_c`` is zero on the singleton
-    rows. Adding singleton mass as it is keeps Bayesian inputs exact fixed
-    points (no w/w rounding)."""
-    M = m.incidence
+    rows and ``M`` is ``m.incidence`` as floats, cast once by the caller
+    rather than by numpy in every product. Adding singleton mass as it is
+    keeps Bayesian inputs exact fixed points (no w/w rounding)."""
     denom = M @ weights
     single = m._bel
     if denom.min() > 0.0:
@@ -126,7 +126,7 @@ def bet_p(m: MassFunction) -> TransformResult:
     result does not depend on the order of the focal sets.
     """
     shares = m.masses / m.cardinality
-    out = [math.fsum(shares[column].tolist()) for column in m.incidence.T]
+    out = [math.fsum(memoryview(shares.compress(column))) for column in m.incidence.T]
     return _result(TransformKind.BET_P, m, out)
 
 
@@ -144,7 +144,7 @@ def pra_pl(m: MassFunction) -> TransformResult:
 
 def pr_pl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton Plausibilities."""
-    out = _split(m, m._pl)
+    out = _split(m, m._pl, m.incidence.astype(float))
     return _result(TransformKind.PR_PL, m, out)
 
 
@@ -154,27 +154,27 @@ def pr_bl(m: MassFunction) -> TransformResult:
     Focal sets none of whose members carry singleton mass are split
     equally (the same insufficient-reason fallback as BetP).
     """
-    out = _split(m, m._bel)
+    out = _split(m, m._bel, m.incidence.astype(float))
     return _result(TransformKind.PR_BL, m, out)
 
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
     """Max-norm defect of the self-consistency equation at ``p``."""
-    return float(np.max(np.abs(_split(m, p.probabilities) - p.probabilities)))
+    return float(np.max(np.abs(_split(m, p.values, m.incidence.astype(float)) - p.values)))
 
 
 #: A returned PrScP point's optimality gap is at most this.
 GAP_TOLERANCE = 1e-6
 
 
-def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray) -> float:
+def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray, M: np.ndarray) -> float:
     """Optimality gap ``max g_i - 1`` over ``support``, where
     ``g_i = sum_{A ∋ i} m(A) / P(A)`` is L's gradient. As L is concave and
     ``p . g = 1``, it bounds how far L(p) lies below L's maximum on ``support``."""
-    focal = m.incidence @ p
+    focal = M @ p
     if not focal.min() > 0.0:
         return math.inf
-    return float(((m.masses / focal) @ m.incidence)[support].max()) - 1.0
+    return float(((m.masses / focal) @ M)[support].max()) - 1.0
 
 
 def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> TransformResult:
@@ -195,19 +195,20 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
     map evaluations up to it, stabilising steps included.
     """
-    x = _split(m, m._bel)  # PrBl
+    M = m.incidence.astype(float)  # one cast for every EM step
+    x = _split(m, m._bel, M)  # PrBl
     support = x > 0.0
     step_max = 1.0
     iterations = 0
     while iterations < config.max_iterations:
-        x1 = _split(m, x)
-        x2 = _split(m, x1)
+        x1 = _split(m, x, M)
+        x2 = _split(m, x1, M)
         iterations += 1
         r, v = x1 - x, x2 - 2.0 * x1 + x
         if (
             np.abs(r).max() < config.tolerance
             and np.abs(x2 - x1).max() < 10.0 * config.tolerance
-            and _gap(m, x1, support) <= GAP_TOLERANCE
+            and _gap(m, x1, support, M) <= GAP_TOLERANCE
         ):
             return _result(TransformKind.PR_SC_P, m, x1, iterations=iterations)
         if iterations == config.max_iterations:
@@ -219,15 +220,15 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
         y = x + 2.0 * alpha * r + alpha * alpha * v
         # components that underflowed to zero in x2 stay there
         if iterations < config.max_iterations and ((y > 0.0) | (x2 == 0.0)).all():
-            x = _split(m, np.where(x2 > 0.0, y, 0.0))
+            x = _split(m, np.where(x2 > 0.0, y, 0.0), M)
             iterations += 1
             if alpha == step_max:
                 step_max *= 4.0
         else:
             x = x2
             step_max = max(1.0, step_max / 4.0)
-    residual = float(np.max(np.abs(_split(m, x) - x)))
-    gap = _gap(m, x, support)
+    residual = float(np.max(np.abs(_split(m, x, M) - x)))
+    gap = _gap(m, x, support, M)
     raise ConvergenceError(
         f"no certified fixed point after {iterations} of {config.max_iterations} "
         f"iterations (residual {residual:.3g}, gap {gap:.3g})",

@@ -164,6 +164,75 @@ def test_masses_near_underflow():
     assert prscp_residual(m, result.distribution) < 1e-11
 
 
+def exactly_rounded_betp(m):
+    """Each label's equal shares summed exactly in rationals, rounded once."""
+    totals = dict.fromkeys(m.frame.labels, Fraction(0))
+    for subset, mass in m.focal_sets():
+        share = Fraction(mass / subset.cardinality)
+        for label in subset.labels:
+            totals[label] += share
+    return [float(totals[label]) for label in m.frame.labels]
+
+
+def test_betp_matches_fsum_reference_on_a_wide_frame():
+    rng = random.Random(9)
+    frame = Frame([f"h{i}" for i in range(64)])
+    bits = set()
+    while len(bits) < 2000:
+        bits.add(rng.getrandbits(64) or 1)
+    weights = [rng.random() for _ in bits]
+    total = math.fsum(weights)
+    m = MassFunction(frame, {FocalSet(frame, b): w / total for b, w in zip(bits, weights)})
+    expected = split_reference(frozen_masses(m), frame.labels, dict.fromkeys(frame.labels, 1.0))
+    assert bet_p(m).distribution.probabilities.tolist() == expected
+
+
+def test_betp_label_outside_every_focal_set_is_exactly_zero():
+    frame = Frame(["a", "b", "c", *(f"h{i}" for i in range(61))])
+    m = MassFunction.from_labels(frame, [(["a"], 0.25), (["a", "b"], 0.5), (["b", "h60"], 0.25)])
+    probs = bet_p(m).distribution.probabilities
+    assert probs[frame.index("c")] == 0.0
+    assert math.copysign(1.0, probs[frame.index("c")]) == 1.0
+    assert (probs[3:-1] == 0.0).all()
+
+
+def test_betp_subnormal_shares_are_summed_exactly():
+    frame = Frame(["a", "b", "c", "d"])
+    m = MassFunction.from_labels(
+        frame,
+        [
+            (["a"], 1.0),
+            (["b", "c", "d"], 3e-310),
+            (["c", "d"], 7e-320),
+            (["a", "b", "c", "d"], 5 * 5e-324),
+        ],
+    )
+    probs = bet_p(m).distribution.probabilities.tolist()
+    assert all(0.0 < p < sys.float_info.min for p in probs[1:])  # subnormal
+    assert probs == exactly_rounded_betp(m)
+
+
+def test_betp_column_sum_is_exactly_rounded_not_left_to_right():
+    # a's shares are 0.5, 2^-54, 2^-54: each half-ulp addition ties back to
+    # 0.5 from left to right, while the exact sum 0.5 + 2^-53 is a float
+    half_ulp = 2.0**-54
+    frame = Frame(["a", "b", "c"])
+    m = MassFunction.from_labels(
+        frame,
+        [
+            (["a"], 0.5),
+            (["a", "b"], 2 * half_ulp),
+            (["a", "c"], 2 * half_ulp),
+            (["b"], 0.5 - 4 * half_ulp),
+        ],
+    )
+    shares_of_a = [0.5, half_ulp, half_ulp]
+    assert sum(shares_of_a) == 0.5 != math.fsum(shares_of_a)
+    probs = bet_p(m).distribution.probabilities.tolist()
+    assert probs[0] == 0.5 + 2 * half_ulp
+    assert probs == exactly_rounded_betp(m)
+
+
 def test_focal_set_order_and_repr_unchanged():
     frame = Frame(["a", "b", "c"])
     m = MassFunction.from_labels(

@@ -183,6 +183,26 @@ LIBRARY_CHECKS = {
     "TransformKind": lambda r: TransformKind("nope"),
     "render_report format": lambda r: render_report(r, "yaml"),
     "render_comparison format": lambda r: render_comparison([r], "yaml"),
+    # non-numbers, and numbers of the wrong kind
+    "SingletonVector string": lambda r: SingletonVector(Frame(["a"]), ["x"]),
+    "SingletonVector dict": lambda r: SingletonVector(Frame(["a"]), [{}]),
+    "ProbabilityDistribution ragged": lambda r: ProbabilityDistribution(
+        Frame(["a", "b"]), [[0.5, 0.5], 0.0]
+    ),
+    "ThresholdSet strings": lambda r: ThresholdSet(("a", "b", "c"), (1, 2, 3)),
+    "ThresholdSet None": lambda r: ThresholdSet((0.1, 0.2, 0.3), (1.2, None, 1.8)),
+    "ThresholdSet bool": lambda r: ThresholdSet((False, True, 2), (1.2, 1.5, 1.8)),
+    "SolverConfig tolerance string": lambda r: SolverConfig(tolerance="x"),
+    "SolverConfig tolerance None": lambda r: SolverConfig(tolerance=None),
+    "SolverConfig max_iterations float": lambda r: SolverConfig(max_iterations=1.5),
+    "SolverConfig max_iterations bool": lambda r: SolverConfig(max_iterations=True),
+    "SolverConfig max_iterations string": lambda r: SolverConfig(max_iterations="5"),
+    "PicScore string": lambda r: PicScore("x"),
+    "PicScore None": lambda r: PicScore(None),
+    "decision threshold string": lambda r: decision_set(r.distribution, "x"),
+    "report_for threshold None": lambda r: report_for(
+        make_mass_function(Frame(["a"]), [(["a"], 1.0)]), TransformKind.BET_P, None
+    ),
 }
 
 
