@@ -155,6 +155,11 @@ class SingletonVector:
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
         try:
+            # numpy would turn "1", b"1" and True into 1.0; a float64 array, what
+            # every transform passes, holds numbers only and skips the check
+            floats = type(values) is np.ndarray and values.dtype == float
+            if not (floats or all(map(_is_real, values))):
+                raise TypeError
             arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         except (OverflowError, TypeError, ValueError):  # a non-number, or an int too large
             raise ValidationError(f"{self._noun} must be finite non-negative numbers") from None

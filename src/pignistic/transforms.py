@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .frame import Frame, MassFunction, SingletonVector, _is_real
+from .frame import Frame, MassFunction, SingletonVector, _check_same_frame, _is_real
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
@@ -123,10 +123,22 @@ def bet_p(m: MassFunction) -> TransformResult:
     """Smets pignistic transform: equal split of each focal set's mass.
 
     Each probability is the exactly rounded sum of its shares, so the
-    result does not depend on the order of the focal sets.
+    result does not depend on the order of the focal sets. The masses sum to
+    one, so no label's shares add up to more than 1 + 1e-9. Rounding each
+    share to a multiple of 2^-52 (``hi``) leaves sums below 2, exact in any
+    summation order; each remainder ``lo`` is a multiple of u = ulp(smallest
+    share) of at most 2^-53, so a label's remainders from the k focal sets
+    also sum exactly in any order when ``k <= 2^106 u``. Then ``hi @ M + lo @ M`` rounds the exact sum once,
+    as ``math.fsum`` does (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput.
+    31:189). A BBA past that certificate takes one ``fsum`` per label.
     """
     shares = m.masses / m.cardinality
-    out = [math.fsum(memoryview(shares.compress(column))) for column in m.incidence.T]
+    if len(shares) <= 2.0**106 * math.ulp(shares.min()):
+        hi = (1.0 + shares) - 1.0
+        M = m.incidence.astype(float)
+        out = hi @ M + (shares - hi) @ M
+    else:
+        out = [math.fsum(memoryview(shares.compress(column))) for column in m.incidence.T]
     return _result(TransformKind.BET_P, m, out)
 
 
@@ -160,6 +172,7 @@ def pr_bl(m: MassFunction) -> TransformResult:
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
     """Max-norm defect of the self-consistency equation at ``p``."""
+    _check_same_frame(m.frame, p.frame)
     return float(np.max(np.abs(_split(m, p.values, m.incidence.astype(float)) - p.values)))
 
 

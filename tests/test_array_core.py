@@ -6,6 +6,7 @@ check that representation against ``tests/oracles.py`` and a direct
 frozenset split, over frames of up to 64 labels.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from pignistic import (
     pra_pl,
     prscp_residual,
 )
+from pignistic import transforms
 from pignistic.cli import EXIT_INVALID_INPUT, main
 from pignistic.io import parse_bba_document, parse_distribution_document
 
@@ -231,6 +233,82 @@ def test_betp_column_sum_is_exactly_rounded_not_left_to_right():
     probs = bet_p(m).distribution.probabilities.tolist()
     assert probs[0] == 0.5 + 2 * half_ulp
     assert probs == exactly_rounded_betp(m)
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The ``math.fsum`` calls of ``pignistic.transforms``: BetP makes them
+    only on its per-label fallback."""
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def fsum(self, values):
+            calls.append(values)
+            return math.fsum(values)
+
+    monkeypatch.setattr(transforms, "math", CountingMath())
+    return calls
+
+
+def test_betp_split_is_exact_where_every_summation_order_misses(fsum_calls):
+    # found by a seeded search over these six sets: c's three shares round
+    # away from their exact sum whichever order they are added in
+    rng = random.Random(22)
+    weights = [rng.random() for _ in range(6)]
+    total = math.fsum(weights)
+    sets = [["a"], ["a", "b"], ["a", "c"], ["a", "b", "c"], ["b"], ["c"]]
+    m = MassFunction.from_labels(
+        Frame(["a", "b", "c"]), [(s, w / total) for s, w in zip(sets, weights)]
+    )
+    shares = m.masses / m.cardinality
+    exact_c = exactly_rounded_betp(m)[2]
+    shares_of_c = shares[m.incidence[:, 2]].tolist()
+    assert sum(shares_of_c) != exact_c
+    assert all(sum(order) != exact_c for order in itertools.permutations(shares_of_c))
+    assert (shares @ m.incidence.astype(float))[2] != exact_c
+    assert bet_p(m).distribution.probabilities.tolist() == exactly_rounded_betp(m)
+    assert fsum_calls == []  # the split path
+
+
+@pytest.mark.parametrize("smallest, fallback", [(2.0**-51, False), (math.nextafter(2.0**-51, 0.0), True)])
+def test_betp_takes_the_fallback_just_past_the_certificate(fsum_calls, smallest, fallback):
+    # five focal sets: the split is certified while 5 <= 2^106 ulp(smallest
+    # share), which holds at 2^-51 (ulp 2^-103) and fails one ulp below it
+    frame = Frame(["a", "b", "c", "d"])
+    m = MassFunction.from_labels(
+        frame,
+        [(["a"], smallest), (["b"], 0.25), (["c"], 0.25), (["d"], 0.25),
+         (frame.labels, 0.25 - smallest)],
+    )
+    assert min((m.masses / m.cardinality).tolist()) == smallest
+    assert bet_p(m).distribution.probabilities.tolist() == exactly_rounded_betp(m)
+    assert len(fsum_calls) == (frame.size if fallback else 0)
+
+
+@st.composite
+def wide_range_mass_functions(draw):
+    """Up to 12 labels, weights 10^U(-300, 0): mostly past the certificate."""
+    n = draw(st.integers(1, 12))
+    frame = Frame([f"h{i}" for i in range(n)])
+    bits = draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=30, unique=True)
+    )
+    weights = [10.0**e for e in draw(
+        st.lists(st.floats(-300.0, 0.0), min_size=len(bits), max_size=len(bits))
+    )]
+    total = math.fsum(weights)
+    return MassFunction(
+        frame, {FocalSet(frame, b): w / total for b, w in zip(bits, weights)}
+    )
+
+
+@given(wide_range_mass_functions())
+@settings(max_examples=150, deadline=None)
+def test_betp_is_exactly_rounded_over_300_decades(m):
+    assert bet_p(m).distribution.probabilities.tolist() == exactly_rounded_betp(m)
 
 
 def test_focal_set_order_and_repr_unchanged():

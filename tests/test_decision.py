@@ -186,6 +186,9 @@ LIBRARY_CHECKS = {
     # non-numbers, and numbers of the wrong kind
     "SingletonVector string": lambda r: SingletonVector(Frame(["a"]), ["x"]),
     "SingletonVector dict": lambda r: SingletonVector(Frame(["a"]), [{}]),
+    "SingletonVector numeric string": lambda r: SingletonVector(Frame(["a"]), ["1"]),
+    "SingletonVector bool": lambda r: SingletonVector(Frame(["a"]), [True]),
+    "SingletonVector bytes": lambda r: SingletonVector(Frame(["a"]), [b"1"]),
     "ProbabilityDistribution ragged": lambda r: ProbabilityDistribution(
         Frame(["a", "b"]), [[0.5, 0.5], 0.0]
     ),

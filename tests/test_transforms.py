@@ -6,6 +6,7 @@ import pytest
 from pignistic import (
     ConvergenceError,
     Frame,
+    FrameMismatchError,
     ProbabilityDistribution,
     SingletonVector,
     SolverConfig,
@@ -146,6 +147,13 @@ class TestPrScP:
         )
         assert result.iterations is not None and result.iterations <= 1000
         assert prscp_residual(combat_bba, result.distribution) < 1e-9
+
+    @pytest.mark.parametrize(
+        "labels, values", [(["x", "y"], [0.5, 0.5]), (["a", "b", "c"], [0.5, 0.25, 0.25])]
+    )
+    def test_residual_rejects_another_frame(self, half_compound, labels, values):
+        with pytest.raises(FrameMismatchError):
+            prscp_residual(half_compound, ProbabilityDistribution(Frame(labels), values))
 
     def test_bayesian_one_iteration(self, bayesian):
         result = pr_sc_p(bayesian)
