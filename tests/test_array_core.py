@@ -273,7 +273,11 @@ def test_betp_split_is_exact_where_every_summation_order_misses(fsum_calls):
     assert fsum_calls == []  # the split path
 
 
-@pytest.mark.parametrize("smallest, fallback", [(2.0**-51, False), (math.nextafter(2.0**-51, 0.0), True)])
+@pytest.mark.parametrize(
+    "smallest, fallback",
+    [(2.0**-51, False), (math.nextafter(2.0**-51, 0.0), True)],
+    ids=["at 2^-51", "one ulp below"],
+)
 def test_betp_takes_the_fallback_just_past_the_certificate(fsum_calls, smallest, fallback):
     # five focal sets: the split is certified while 5 <= 2^106 ulp(smallest
     # share), which holds at 2^-51 (ulp 2^-103) and fails one ulp below it
