@@ -209,6 +209,9 @@ class MassFunction:
     and Plausibility arrays, all read-only, and the sums of the last two, so
     the object is immutable and safe to share between threads. The singleton
     accessors wrap a copy of an array in a new ``SingletonVector`` per call.
+    The first product casts ``incidence`` to floats once and keeps the copy
+    (8 bytes a cell); two threads may both cast, but each stores an equal
+    read-only array, so every reader gets the same values.
     """
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
@@ -277,10 +280,18 @@ class MassFunction:
         rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
         #: k x n boolean matrix: row r marks the members of focal set r.
         self.incidence = _read_only(rows.view(bool))
+        self._float_incidence = None  # see _floats
         # singleton Bel (the singleton masses) and Pl, and their exactly rounded sums
         self._bel = _read_only(np.array(singles))
         self._pl = _read_only(self.masses @ self.incidence)
         self._sum_bel, self._sum_pl = math.fsum(singles), math.fsum(self._pl.tolist())
+
+    def _floats(self) -> np.ndarray:
+        """``incidence`` as read-only floats, cast on the first call and kept."""
+        M = self._float_incidence
+        if M is None:
+            M = self._float_incidence = _read_only(self.incidence.astype(float))
+        return M
 
     def focal_sets(self) -> Iterator[tuple[FocalSet, float]]:
         """Focal sets with strictly positive mass, with their masses."""

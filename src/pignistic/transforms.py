@@ -104,9 +104,9 @@ def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Singleton masses plus each compound focal set's mass shared among its
     members proportionally to ``weights`` (equally where all weigh zero):
     ``single + w * M^T (m_c / M w)``, where ``m_c`` is zero on the singleton
-    rows and ``M`` is ``m.incidence`` as floats, cast once by the caller
-    rather than by numpy in every product. Adding singleton mass as it is
-    keeps Bayesian inputs exact fixed points (no w/w rounding)."""
+    rows and ``M`` is ``m._floats()``, fetched once by the caller, once per
+    PrScP solve. Adding singleton mass as it is keeps Bayesian inputs exact
+    fixed points (no w/w rounding)."""
     denom = M @ weights
     single = m._bel
     if denom.min() > 0.0:
@@ -135,7 +135,7 @@ def bet_p(m: MassFunction) -> TransformResult:
     shares = m.masses / m.cardinality
     if len(shares) <= 2.0**106 * math.ulp(shares.min()):
         hi = (1.0 + shares) - 1.0
-        M = m.incidence.astype(float)
+        M = m._floats()
         out = hi @ M + (shares - hi) @ M
     else:
         out = [math.fsum(memoryview(shares.compress(column))) for column in m.incidence.T]
@@ -156,7 +156,7 @@ def pra_pl(m: MassFunction) -> TransformResult:
 
 def pr_pl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton Plausibilities."""
-    out = _split(m, m._pl, m.incidence.astype(float))
+    out = _split(m, m._pl, m._floats())
     return _result(TransformKind.PR_PL, m, out)
 
 
@@ -166,14 +166,14 @@ def pr_bl(m: MassFunction) -> TransformResult:
     Focal sets none of whose members carry singleton mass are split
     equally (the same insufficient-reason fallback as BetP).
     """
-    out = _split(m, m._bel, m.incidence.astype(float))
+    out = _split(m, m._bel, m._floats())
     return _result(TransformKind.PR_BL, m, out)
 
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
     """Max-norm defect of the self-consistency equation at ``p``."""
     _check_same_frame(m.frame, p.frame)
-    return float(np.max(np.abs(_split(m, p.values, m.incidence.astype(float)) - p.values)))
+    return float(np.max(np.abs(_split(m, p.values, m._floats()) - p.values)))
 
 
 #: A returned PrScP point's optimality gap is at most this.
@@ -185,7 +185,7 @@ def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray, M: np.ndarray) -> 
     ``g_i = sum_{A ∋ i} m(A) / P(A)`` is L's gradient. As L is concave and
     ``p . g = 1``, it bounds how far L(p) lies below L's maximum on ``support``."""
     focal = M @ p
-    if not focal.min() > 0.0:
+    if not focal.min() > 0.0:  # p underflowed to 0 on every member of a focal set
         return math.inf
     return float(((m.masses / focal) @ M)[support].max()) - 1.0
 
@@ -208,7 +208,7 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
     map evaluations up to it, stabilising steps included.
     """
-    M = m.incidence.astype(float)  # one cast for every EM step
+    M = m._floats()
     x = _split(m, m._bel, M)  # PrBl
     support = x > 0.0
     step_max = 1.0

@@ -328,6 +328,36 @@ def test_focal_set_order_and_repr_unchanged():
     assert len(m) == 3
 
 
+class NoRecast(np.ndarray):
+    """A boolean incidence that fails the test if anything casts it again."""
+
+    def astype(self, *args, **kwargs):
+        raise AssertionError("incidence cast to floats a second time")
+
+
+def test_float_incidence_is_cast_by_the_first_product_and_kept():
+    frame = Frame(["a", "b", "c"])
+    m = MassFunction.from_labels(
+        frame, [(["a"], 0.25), (["a", "b"], 0.25), (["b", "c"], 0.5)]
+    )
+    assert m._float_incidence is None
+    for query in (
+        pra_pl, MassFunction.sum_pl, MassFunction.sum_bel,
+        MassFunction.singleton_beliefs, MassFunction.singleton_plausibilities,
+    ):
+        query(m)
+    assert m._float_incidence is None  # none of these needs a product
+
+    bet_p(m)
+    table = m._float_incidence
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert np.array_equal(table, m.incidence.astype(float))
+    m.incidence = m.incidence.view(NoRecast)
+    p = pr_pl(m).distribution
+    pr_bl(m), pr_sc_p(m), prscp_residual(m, p)
+    assert m._float_incidence is table
+
+
 def test_lazy_tables_are_safe_to_share_between_threads():
     labels, rng = [f"h{i}" for i in range(32)], random.Random(3)
     frame = Frame(labels)

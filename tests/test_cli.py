@@ -1,7 +1,12 @@
+import copy
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pignistic import TransformKind, evaluate, report_for
 from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
@@ -11,6 +16,8 @@ from pignistic.io import (
     render_comparison,
     render_report,
 )
+
+from .conftest import DATA_DIR
 
 
 @pytest.fixture
@@ -260,3 +267,74 @@ class TestRecordFormat:
         records = json.loads(out)
         assert records == json.loads(render_comparison(reports, "record"))
         assert [r["method"] for r in records] == [k.value for k in TransformKind]
+
+
+#: What a mutation writes in place of a field: an integer above 2^53, the
+#: smallest subnormal, a negative zero, and values of the wrong JSON type.
+ATOMS = [2**70, 5e-324, -0.0, True, None, "1", [[]], {}]
+COMBAT_DOCUMENT = json.loads((DATA_DIR / "combat_id.json").read_text())
+
+
+def json_paths(node, path=()):
+    """The path of every value below ``node``, as tuples of keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def built_bba_documents(draw):
+    """A valid BBA document; zero masses are allowed, as long as one is not."""
+    labels = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True))
+    members = st.sets(st.sampled_from(labels), min_size=1).map(sorted)
+    sets = draw(st.lists(members, min_size=1, max_size=6, unique_by=tuple))
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=len(sets), max_size=len(sets)).filter(any)
+    )
+    total = sum(weights)
+    return {
+        "frame": labels,
+        "masses": [{"elements": s, "mass": w / total} for s, w in zip(sets, weights)],
+    }
+
+
+@st.composite
+def mutated_bba_documents(draw):
+    """A valid BBA document with one field deleted, duplicated or replaced."""
+    doc = copy.deepcopy(draw(st.one_of(st.just(COMBAT_DOCUMENT), built_bba_documents())))
+    action = draw(st.sampled_from(["delete", "duplicate", *ATOMS]))
+    paths = sorted(json_paths(doc), key=len, reverse=True)  # Hypothesis favours the first
+    if action == "duplicate":  # JSON keeps one of two equal keys: duplicate list items
+        paths = [p for p in paths if isinstance(reduce(getitem, p[:-1], doc), list)]
+    *at, key = draw(st.sampled_from(paths))
+    parent = reduce(getitem, at, doc)
+    if action == "delete":
+        del parent[key]
+    elif action == "duplicate":
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(action)
+    return doc
+
+
+@given(doc=mutated_bba_documents())
+@settings(
+    derandomize=True, database=None, max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_documents_exit_zero_one_or_two(capsys, tmp_path, thresholds_path, doc):
+    """Every command answers (0), rejects the input (1) or reports no
+    convergence (2); it prints nothing to stdout unless it answers."""
+    path = tmp_path / "bba.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["decide", "--thresholds", thresholds_path, "--risk", "0.0455"],
+        ["compare", "--risk", "0.0455"],
+        ["pic"],
+        ["transform", "--method", "prscp", "--max-iter", "3"],  # too few for many: 2
+    ):
+        code = main([*argv, "--input", str(path)])
+        out = capsys.readouterr().out
+        assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE)
+        assert code == EXIT_OK or out == ""

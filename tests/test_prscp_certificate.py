@@ -6,6 +6,7 @@ m(A) / P(A). The gaps here are computed from frozenset focal sets by the
 oracles, independently of the package's incidence matrix.
 """
 
+import math
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from pignistic import (
     SolverConfig,
     pr_sc_p,
 )
+from pignistic import transforms
 from pignistic.cli import EXIT_NO_CONVERGENCE, main
 
 from .oracles import kkt_gap_oracle
@@ -142,3 +144,10 @@ def test_cli_convergence_error_names_gap(capsys, data_dir):
     assert code == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
     assert "gap" in err and "3 of 3 iterations" in err
+
+
+def test_gap_is_infinite_where_a_focal_set_has_zero_probability():
+    # p = (1, 0) puts nothing on {b}, so L(p) = -inf and no gap is finite
+    m = MassFunction.from_labels(Frame(["a", "b"]), [(["a"], 0.5), (["b"], 0.5)])
+    support = np.array([True, True])
+    assert transforms._gap(m, np.array([1.0, 0.0]), support, m._floats()) == math.inf
