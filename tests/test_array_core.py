@@ -354,7 +354,9 @@ def test_float_incidence_is_cast_by_the_first_product_and_kept():
     assert np.array_equal(table, m.incidence.astype(float))
     m.incidence = m.incidence.view(NoRecast)
     p = pr_pl(m).distribution
-    pr_bl(m), pr_sc_p(m), prscp_residual(m, p)
+    pr_bl(m)
+    pr_sc_p(m)
+    prscp_residual(m, p)
     assert m._float_incidence is table
 
 

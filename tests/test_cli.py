@@ -332,7 +332,7 @@ def test_mutated_documents_exit_zero_one_or_two(capsys, tmp_path, thresholds_pat
         ["decide", "--thresholds", thresholds_path, "--risk", "0.0455"],
         ["compare", "--risk", "0.0455"],
         ["pic"],
-        ["transform", "--method", "prscp", "--max-iter", "3"],  # too few for many: 2
+        ["transform", "--method", "prscp", "--max-iter", "3"],  # too few for many BBAs: 2
     ):
         code = main([*argv, "--input", str(path)])
         out = capsys.readouterr().out
