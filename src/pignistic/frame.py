@@ -155,20 +155,31 @@ class SingletonVector:
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
         try:
-            # numpy would turn "1", b"1" and True into 1.0; a float64 array, what
-            # every transform passes, holds numbers only and skips the check
+            # numpy would turn "1", b"1" and True into 1.0; float64 holds numbers only
             floats = type(values) is np.ndarray and values.dtype == float
             if not (floats or all(map(_is_real, values))):
                 raise TypeError
             arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         except (OverflowError, TypeError, ValueError):  # a non-number, or an int too large
             raise ValidationError(f"{self._noun} must be finite non-negative numbers") from None
+        self._keep(frame, arr)
+
+    @classmethod
+    def _owned(cls, frame: Frame, arr: np.ndarray):
+        """Adopt ``arr``, a transform's fresh float64 array: the public
+        constructor's checks without its type check and its copy."""
+        vector = cls.__new__(cls)
+        vector._keep(frame, arr)
+        return vector
+
+    def _keep(self, frame: Frame, arr: np.ndarray) -> None:
+        """Check the float64 ``arr``, freeze it and keep it."""
         if arr.shape != (frame.size,):
             raise ValidationError(
                 f"expected {frame.size} {self._noun}, got shape {arr.shape}"
             )
-        # on the short vectors of a frame, a Python loop beats numpy's reductions
-        if not all(0.0 <= v < math.inf for v in arr.tolist()):  # NaN fails too
+        # argmin/argmax return the first NaN, so NaN fails; and skip .min()'s fixed cost
+        if not (0.0 <= arr[arr.argmin()] and arr[arr.argmax()] < math.inf):
             raise ValidationError(f"{self._noun} must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)

@@ -34,7 +34,8 @@ def pic(p: ProbabilityDistribution) -> PicScore:
     n = p.frame.size
     if n == 1:
         return PicScore(1.0)
-    entropy = math.fsum(q * math.log(q) for q in p.probabilities.tolist() if q > 0.0)
+    # libm's log, not np.log, whose SIMD loops may round differently by host
+    entropy = math.fsum([q * math.log(q) for q in p.probabilities.tolist() if q > 0.0])
     value = 1.0 + entropy / math.log(n)
     # negligible negative drift from float summation near the uniform case
     return PicScore(min(1.0, max(0.0, value)))

@@ -55,6 +55,9 @@ class ProbabilityDistribution(SingletonVector):
 
     def __init__(self, frame: Frame, probabilities: Sequence[float] | np.ndarray):
         super().__init__(frame, probabilities)
+
+    def _keep(self, frame: Frame, arr: np.ndarray) -> None:
+        super()._keep(frame, arr)
         if abs(self.total - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise ValidationError(f"probabilities sum to {self.total!r}, not 1")
 
@@ -97,7 +100,7 @@ class TransformResult:
 
 
 def _result(kind: TransformKind, m: MassFunction, p, **diagnostics) -> TransformResult:
-    return TransformResult(ProbabilityDistribution(m.frame, p), kind.value, **diagnostics)
+    return TransformResult(ProbabilityDistribution._owned(m.frame, p), kind.value, **diagnostics)
 
 
 def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -109,7 +112,7 @@ def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     fixed points (no w/w rounding)."""
     denom = M @ weights
     single = m._bel
-    if denom.min() > 0.0:
+    if denom[denom.argmin()] > 0.0:  # argmin and argmax here: see SingletonVector._keep
         return single + weights * ((m.compound_masses / denom) @ M)
     proportional = denom > 0.0
     per_weight = np.divide(
@@ -133,12 +136,12 @@ def bet_p(m: MassFunction) -> TransformResult:
     31:189). A BBA past that certificate takes one ``fsum`` per label.
     """
     shares = m.masses / m.cardinality
-    if len(shares) <= 2.0**106 * math.ulp(shares.min()):
+    if len(shares) <= 2.0**106 * math.ulp(shares[shares.argmin()]):
         hi = (1.0 + shares) - 1.0
         M = m._floats()
         out = hi @ M + (shares - hi) @ M
     else:
-        out = [math.fsum(memoryview(shares.compress(column))) for column in m.incidence.T]
+        out = np.array([math.fsum(memoryview(shares.compress(c))) for c in m.incidence.T])
     return _result(TransformKind.BET_P, m, out)
 
 
@@ -164,10 +167,12 @@ def pr_bl(m: MassFunction) -> TransformResult:
     """Split each focal set's mass proportionally to singleton masses.
 
     Focal sets none of whose members carry singleton mass are split
-    equally (the same insufficient-reason fallback as BetP).
+    equally (the same insufficient-reason fallback as BetP). With no singleton
+    mass at all that is one product; ``_split``'s other two would add exact zeros.
     """
-    out = _split(m, m._bel, m._floats())
-    return _result(TransformKind.PR_BL, m, out)
+    if m._sum_bel == 0.0:
+        return _result(TransformKind.PR_BL, m, (m.compound_masses / m.cardinality) @ m._floats())
+    return _result(TransformKind.PR_BL, m, _split(m, m._bel, m._floats()))
 
 
 def prscp_residual(m: MassFunction, p: ProbabilityDistribution) -> float:
@@ -185,9 +190,10 @@ def _gap(m: MassFunction, p: np.ndarray, support: np.ndarray, M: np.ndarray) -> 
     ``g_i = sum_{A ∋ i} m(A) / P(A)`` is L's gradient. As L is concave and
     ``p . g = 1``, it bounds how far L(p) lies below L's maximum on ``support``."""
     focal = M @ p
-    if not focal.min() > 0.0:  # p underflowed to 0 on every member of a focal set
+    if not focal[focal.argmin()] > 0.0:  # p underflowed to 0 on every member of a focal set
         return math.inf
-    return float(((m.masses / focal) @ M)[support].max()) - 1.0
+    g = ((m.masses / focal) @ M)[support]
+    return float(g[g.argmax()]) - 1.0
 
 
 def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> TransformResult:
@@ -218,8 +224,9 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
         x2 = _split(m, x1, M)
         iterations += 1
         r, v = x1 - x, x2 - 2.0 * x1 + x
+        step = np.abs(r)
         if (
-            np.abs(r).max() < config.tolerance
+            step[step.argmax()] < config.tolerance
             and np.abs(x2 - x1).max() < 10.0 * config.tolerance
             and _gap(m, x1, support, M) <= GAP_TOLERANCE
         ):
@@ -232,7 +239,8 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
         alpha = min(max(math.sqrt(r @ r) / norm_v, 1.0), step_max) if norm_v else 1.0
         y = x + 2.0 * alpha * r + alpha * alpha * v
         # components that underflowed to zero in x2 stay there
-        if iterations < config.max_iterations and ((y > 0.0) | (x2 == 0.0)).all():
+        kept = (y > 0.0) | (x2 == 0.0)
+        if iterations < config.max_iterations and kept[kept.argmin()]:
             x = _split(m, np.where(x2 > 0.0, y, 0.0), M)
             iterations += 1
             if alpha == step_max:

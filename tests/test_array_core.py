@@ -146,6 +146,47 @@ def test_compound_only_prbl_is_equal_split():
     assert list(out) == pytest.approx(list(bet_p(m).distribution.probabilities), abs=1e-15)
 
 
+def compound_only_bba(rng, n, k):
+    """``k`` distinct focal sets of at least two labels each, random masses."""
+    bits = set()
+    while len(bits) < k:
+        b = rng.getrandbits(n)
+        if b.bit_count() > 1:
+            bits.add(b)
+    weights = [rng.random() for _ in bits]
+    total = math.fsum(weights)
+    frame = Frame([f"h{i}" for i in range(n)])
+    return MassFunction(frame, {FocalSet(frame, b): w / total for b, w in zip(bits, weights)})
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 20), (16, 200), (32, 1000), (64, 2000)])
+def test_prbl_without_singleton_mass_is_the_split_in_one_product(n, k):
+    m = compound_only_bba(random.Random(n), n, k)
+    assert m.sum_bel() == 0.0
+    got = pr_bl(m).distribution.probabilities
+    assert np.array_equal(got, transforms._split(m, m._bel, m._floats()))
+    labels = m.frame.labels
+    want = split_reference(frozen_masses(m), labels, dict.fromkeys(labels, 0.0))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_prbl_with_singleton_mass_on_some_labels_splits_proportionally():
+    m = compound_only_bba(random.Random(7), 16, 200)
+    rng = random.Random(8)
+    singles = {1 << i: rng.random() for i in range(0, 16, 3)}
+    scale = 0.5 / math.fsum(singles.values())
+    assignments = {FocalSet(m.frame, b): mass * 0.5 for b, mass in zip(m.bits.tolist(), m.masses)}
+    assignments.update({FocalSet(m.frame, b): w * scale for b, w in singles.items()})
+    m = MassFunction(m.frame, assignments)
+    assert 0.0 < m.sum_bel() < 1.0
+    labels, masses = m.frame.labels, frozen_masses(m)
+    bel = dict(zip(labels, m.singleton_beliefs().values.tolist()))
+    got = pr_bl(m).distribution.probabilities
+    assert np.abs(got - split_reference(masses, labels, bel)).max() <= 1e-12
+    equal = split_reference(masses, labels, dict.fromkeys(labels, 0.0))
+    assert np.abs(got - equal).max() > 1e-3
+
+
 def test_masses_near_underflow():
     frame = Frame(["a", "b", "c"])
     tiny = 1e-300

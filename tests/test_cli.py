@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pignistic
 from pignistic import TransformKind, evaluate, report_for
 from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from pignistic.io import (
@@ -171,6 +175,21 @@ class TestCompareCommand:
         records = json.loads(capsys.readouterr().out)
         sizes = {r["method"]: len(r["selected"]) for r in records}
         assert sizes == {"BetP": 4, "PraPl": 4, "PrPl": 4, "PrBl": 3, "PrScP": 2}
+
+    def test_module_entry_point_prints_what_main_prints(self, capsys, combat_path):
+        argv = ["compare", "--input", combat_path, "--format", "record"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        src = str(Path(pignistic.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        child = subprocess.run(
+            [sys.executable, "-m", "pignistic.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert child.stdout == expected
 
 
 class TestInvalidCatalog:

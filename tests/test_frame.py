@@ -34,6 +34,10 @@ class TestFrame:
     def test_minimal_frame(self):
         assert make_frame(["a"]).size == 1
 
+    def test_len_is_the_label_count(self):
+        assert len(make_frame(["a"])) == 1
+        assert len(make_frame([f"h{i}" for i in range(64)])) == 64
+
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabelError):
             make_frame(["a", "a"])

@@ -10,6 +10,8 @@ from pignistic import (
     ProbabilityDistribution,
     SingletonVector,
     SolverConfig,
+    TransformKind,
+    ValidationError,
     apply_transform,
     bet_p,
     make_mass_function,
@@ -266,3 +268,65 @@ class TestProbabilityDistribution:
         with pytest.raises(ValueError):
             p.probabilities[0] = 0.5
         assert isinstance(np.asarray(p.probabilities), np.ndarray)
+
+
+class TestRangeCheck:
+    """The finiteness and sign check of the public constructors and of the
+    private one that adopts a transform's output."""
+
+    @staticmethod
+    def uniform(n):
+        return np.full(n, 1.0 / n) if n != 3 else np.array([0.25, 0.25, 0.5])
+
+    @staticmethod
+    def constructors(cls):
+        return (cls, lambda frame, values: cls._owned(frame, np.array(values, dtype=float)))
+
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_bad_value_rejected_at_every_position(self, cls, n, bad):
+        frame = Frame([f"h{i}" for i in range(n)])
+        for position in (0, n // 2, n - 1):
+            values = self.uniform(n)
+            values[position] = bad
+            for construct in self.constructors(cls):
+                with pytest.raises(ValidationError, match="finite and non-negative"):
+                    construct(frame, values)
+
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    def test_nan_after_a_smaller_value_rejected(self, cls):
+        # min() and max() over a list compare NaN as false and keep 0.1
+        values = [0.1, math.nan, 0.9]
+        assert min(values) == 0.1 and max(values) == 0.9
+        for construct in self.constructors(cls):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                construct(Frame(["a", "b", "c"]), values)
+
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_negative_zero_accepted_and_caller_array_copied(self, cls, n):
+        frame = Frame([f"h{i}" for i in range(n)])
+        values = self.uniform(n)
+        values[-1] += values[0]
+        values[0] = -0.0
+        for construct in self.constructors(cls):
+            vector = construct(frame, values)
+            assert vector.values[0] == 0.0 and not vector.values.flags.writeable
+        public = cls(frame, values)
+        values[1] = 7.0
+        assert public.values[1] == self.uniform(n)[1]
+
+    def test_every_transform_output_is_read_only(self, combat_bba):
+        frame = Frame(["a", "b", "c", "d"])
+        compound_only = make_mass_function(frame, [(["a", "b"], 0.5), (["b", "c", "d"], 0.5)])
+        past_certificate = make_mass_function(  # BetP's per-label fsum fallback
+            frame, [(["a"], 2.0**-60), (["b"], 0.5), (frame.labels, 0.5 - 2.0**-60)]
+        )
+        for m in (combat_bba, compound_only, past_certificate):
+            for kind in TransformKind:
+                probabilities = apply_transform(kind.value, m).distribution.probabilities
+                assert type(probabilities) is np.ndarray and probabilities.dtype == float
+                assert not probabilities.flags.writeable
+                with pytest.raises(ValueError):
+                    probabilities[0] = 0.0
