@@ -275,10 +275,6 @@ class TestRangeCheck:
     private one that adopts a transform's output."""
 
     @staticmethod
-    def uniform(n):
-        return np.full(n, 1.0 / n) if n != 3 else np.array([0.25, 0.25, 0.5])
-
-    @staticmethod
     def constructors(cls):
         return (cls, lambda frame, values: cls._owned(frame, np.array(values, dtype=float)))
 
@@ -288,7 +284,7 @@ class TestRangeCheck:
     def test_bad_value_rejected_at_every_position(self, cls, n, bad):
         frame = Frame([f"h{i}" for i in range(n)])
         for position in (0, n // 2, n - 1):
-            values = self.uniform(n)
+            values = np.full(n, 1.0 / n)
             values[position] = bad
             for construct in self.constructors(cls):
                 with pytest.raises(ValidationError, match="finite and non-negative"):
@@ -307,7 +303,7 @@ class TestRangeCheck:
     @pytest.mark.parametrize("n", [3, 64])
     def test_negative_zero_accepted_and_caller_array_copied(self, cls, n):
         frame = Frame([f"h{i}" for i in range(n)])
-        values = self.uniform(n)
+        values = np.full(n, 1.0 / n)
         values[-1] += values[0]
         values[0] = -0.0
         for construct in self.constructors(cls):
@@ -315,7 +311,7 @@ class TestRangeCheck:
             assert vector.values[0] == 0.0 and not vector.values.flags.writeable
         public = cls(frame, values)
         values[1] = 7.0
-        assert public.values[1] == self.uniform(n)[1]
+        assert public.values[1] == 1.0 / n
 
     def test_every_transform_output_is_read_only(self, combat_bba):
         frame = Frame(["a", "b", "c", "d"])
