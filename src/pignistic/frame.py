@@ -82,6 +82,8 @@ class Frame:
 
     def _mask(self, members: Iterable[str]) -> int:
         """Bitmask of ``members``; a label listed twice counts once."""
+        if isinstance(members, str):  # it would iterate as its characters
+            raise ValidationError(f"expected a collection of labels, not the string {members!r}")
         try:
             return reduce(or_, map(self._bits.__getitem__, members), 0)
         except KeyError as exc:

@@ -205,19 +205,16 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     of L over the labels PrBl gives positive probability; the others stay 0.
 
     SQUAREM (Varadhan & Roland 2008) accelerates it. Each cycle takes two EM
-    steps and extrapolates along them by at most ``step_max`` (x4 after a
-    kept capped step, /4 after a fallback), so one long step cannot
-    overshoot; a stabilising EM step pulls that point back towards the EM
-    path; a point not positive wherever the plain iterate ``x2`` is falls
-    back to ``x2``. A point is returned only when its max-norm step is below
-    ``config.tolerance``, its residual below ten times that, and its
-    optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
+    steps and extrapolates along them; a stabilising EM step pulls that point
+    back towards the EM path; a point not positive wherever the plain iterate
+    ``x2`` is falls back to ``x2``. A point is returned only when its max-norm
+    step is below ``config.tolerance``, its residual below ten times that, and
+    its optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
     map evaluations up to it, stabilising steps included.
     """
     M = m._floats()
     x = _split(m, m._bel, M)  # PrBl
     support = x > 0.0
-    step_max = 1.0
     iterations = 0
     while iterations < config.max_iterations:
         x1 = _split(m, x, M)
@@ -236,18 +233,15 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
             break
         iterations += 1
         norm_v = math.sqrt(v @ v)
-        alpha = min(max(math.sqrt(r @ r) / norm_v, 1.0), step_max) if norm_v else 1.0
+        alpha = max(math.sqrt(r @ r) / norm_v, 1.0) if norm_v else 1.0
         y = x + 2.0 * alpha * r + alpha * alpha * v
         # components that underflowed to zero in x2 stay there
         kept = (y > 0.0) | (x2 == 0.0)
         if iterations < config.max_iterations and kept[kept.argmin()]:
             x = _split(m, np.where(x2 > 0.0, y, 0.0), M)
             iterations += 1
-            if alpha == step_max:
-                step_max *= 4.0
         else:
             x = x2
-            step_max = max(1.0, step_max / 4.0)
     residual = float(np.max(np.abs(_split(m, x, M) - x)))
     gap = _gap(m, x, support, M)
     raise ConvergenceError(

@@ -135,6 +135,17 @@ class TestMassFunctionValidation:
         with pytest.raises(FrameMismatchError):
             m.belief(other.singleton("x"))
 
+    def test_bare_string_is_not_a_collection_of_labels(self):
+        # iterated, "ab" would be the labels "a" and "b", not the label "ab"
+        frame = Frame(["a", "b", "ab"])
+        with pytest.raises(ValidationError, match="not the string 'ab'"):
+            MassFunction.from_labels(frame, [("ab", 1.0)])
+        with pytest.raises(ValidationError, match="not the string 'ab'"):
+            make_mass_function(frame, [("ab", 1.0)])
+        with pytest.raises(ValidationError, match="not the string 'ab'"):
+            frame.subset("ab")
+        assert make_mass_function(frame, [(["ab"], 1.0)]).mass(frame.subset(["ab"])) == 1.0
+
 
 class TestBeliefPlausibility:
     def test_combat_singletons(self, combat_frame, combat_bba):

@@ -17,8 +17,10 @@ from pignistic import (
     FocalSet,
     Frame,
     MassFunction,
+    ProbabilityDistribution,
     SolverConfig,
     pr_sc_p,
+    prscp_residual,
 )
 from pignistic import transforms
 from pignistic.cli import EXIT_NO_CONVERGENCE, main
@@ -134,6 +136,37 @@ def test_convergence_error_reports_gap_and_budget(combat_bba, budget):
     message = str(err.value)
     assert f"gap {err.value.gap:.3g}" in message
     assert f"{budget} of {budget} iterations" in message
+
+
+# Budgets 1 to 12 run out at every position in the cycle: after an EM pair,
+# at an extrapolation with no room for its stabilising step, after that step.
+@pytest.mark.parametrize("budget", range(1, 13))
+def test_budget_is_exact_at_every_position_in_the_cycle(combat_bba, budget):
+    with pytest.raises(ConvergenceError) as err:
+        pr_sc_p(combat_bba, SolverConfig(tolerance=1e-15, max_iterations=budget))
+    x = err.value.last_iterate
+    assert err.value.iterations == budget
+    assert x.min() >= 0.0
+    assert math.fsum(x) == pytest.approx(1.0, abs=1e-12)
+    residual = prscp_residual(combat_bba, ProbabilityDistribution(combat_bba.frame, x))
+    assert err.value.residual == residual
+
+
+def test_default_budget_answers_are_certified():
+    # callers solve under the default budget; a ConvergenceError is allowed,
+    # an answer without the certificate is not
+    answers = 0
+    for n in range(4, 13):
+        for seed in range(5):
+            m = seeded_bba(seed, n, 2 * n)
+            try:
+                result = pr_sc_p(m)
+            except ConvergenceError:
+                continue
+            answers += 1
+            assert gap_of(m, result.distribution) <= GAP_BOUND
+            assert prscp_residual(m, result.distribution) < 1e-11
+    assert answers > 0
 
 
 def test_cli_convergence_error_names_gap(capsys, data_dir):
