@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -84,12 +82,13 @@ class Frame:
         """Bitmask of ``members``; a label listed twice counts once."""
         if isinstance(members, str):  # it would iterate as its characters
             raise ValidationError(f"expected a collection of labels, not the string {members!r}")
+        bit_of, b = self._bits, 0
         try:
-            return reduce(or_, map(self._bits.__getitem__, members), 0)
-        except KeyError as exc:
-            raise UnknownLabelError(
-                f"label {exc.args[0]!r} not in frame {self.labels}"
-            ) from None
+            for label in members:
+                b |= bit_of[label]
+        except KeyError:
+            raise UnknownLabelError(f"label {label!r} not in frame {self.labels}") from None
+        return b
 
     def subset(self, members: Iterable[str]) -> FocalSet:
         """Build a focal set from labels of this frame."""
@@ -230,7 +229,7 @@ class MassFunction:
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
         for subset in assignments:
             _check_same_frame(frame, subset.frame)
-        self._store(frame, [s.bits for s in assignments], list(assignments.values()))
+        self._store(frame, [(s.labels, mass) for s, mass in assignments.items()])
 
     @classmethod
     def from_labels(
@@ -238,25 +237,21 @@ class MassFunction:
         frame: Frame,
         assignments: Iterable[tuple[Iterable[str], float]],
     ) -> MassFunction:
-        """Build from (subset labels, mass) pairs; unlisted subsets get mass 0."""
-        bits, masses = [], []
-        for members, mass in assignments:
-            bits.append(frame._mask(members))
-            masses.append(mass)
-        return cls._from_bits(frame, bits, masses)
-
-    @classmethod
-    def _from_bits(cls, frame: Frame, bits: list[int], masses: list) -> MassFunction:
+        """Build from (subset labels, mass) pairs; unlisted subsets get mass 0.
+        The first bad pair in input order raises."""
         m = cls.__new__(cls)
-        m._store(frame, bits, masses)
+        m._store(frame, assignments)
         return m
 
-    def _store(self, frame: Frame, bits: list[int], masses: list) -> None:
-        """Validate, then build every table the transforms read, once."""
-        if 0 in bits:
-            raise EmptySetMassError("the empty set is not a valid focal set")
-        kept, values, sizes, compound, singles = [], [], [], [], [0.0] * frame.size
-        for b, mass in zip(bits, masses):
+    def _store(self, frame: Frame, assignments: Iterable[tuple[Iterable[str], float]]) -> None:
+        """Walk the pairs once, checking each, then build every table the transforms read."""
+        mask = frame._mask
+        bits, kept, values, sizes, compound, singles = [], [], [], [], [], [0.0] * frame.size
+        for members, mass in assignments:
+            b = mask(members)
+            if not b:
+                raise EmptySetMassError("the empty set is not a valid focal set")
+            bits.append(b)
             real = type(mass) is float or _is_real(mass)
             if not (real and 0.0 <= mass <= 1.0):  # NaN fails this as well
                 raise MassOutOfRangeError(

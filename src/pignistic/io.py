@@ -10,11 +10,11 @@ so downstream pipelines never compound rounding.
 from __future__ import annotations
 
 import json
-from typing import Any, NoReturn, Sequence
+from typing import Any, Sequence
 
-from .decision import DecisionReport, ThresholdSet
-from .errors import MassFunctionError, ParseError, UnknownLabelError, ValidationError
-from .frame import Frame, MassFunction
+from .decision import DecisionReport, ThresholdSet, decision_set
+from .errors import MassFunctionError, ParseError, ValidationError
+from .frame import FocalSet, Frame, MassFunction
 from .transforms import ProbabilityDistribution, TransformKind
 
 
@@ -81,46 +81,39 @@ def parse_bba_document(text: str) -> MassFunction:
 
 
 def _mass_function_from(doc: Any) -> MassFunction:
-    """One pass over the mass records: each is type-checked and its labels
-    ORed into a bitmask, then the tables are built from the bitmasks. An
-    unknown label is reported only once every record has passed its check."""
+    """One walk over the records builds the mass function; only if it fails are they walked
+    again, to rank the errors: a malformed record, an unknown label, the empty set, the rest."""
     frame = _parse_frame(doc, "bba document")
     records = _require(doc, "masses", list, "bba document")
-    bit_of = frame._bits
-    bits, masses, unknown = [], [], None
-    for record in records:
-        try:
-            elements, mass = record["elements"], record["mass"]
-        except (KeyError, TypeError):
-            elements = mass = None
-        if type(elements) is not list or type(mass) is not float and type(mass) is not int:
-            _reject_record(record, len(bits))
-        b = 0
-        try:
-            for label in elements:
-                b |= bit_of[label]
-        except (KeyError, TypeError):
-            if not all(isinstance(l, str) for l in elements):
-                _reject_record(record, len(bits))
-            if unknown is None:
-                unknown = label
-        bits.append(b)
-        masses.append(mass)
-    if unknown is not None:
-        raise UnknownLabelError(f"bba document: label {unknown!r} not in frame {frame.labels}")
     try:
-        return MassFunction._from_bits(frame, bits, masses)
+        try:
+            return MassFunction.from_labels(frame, _pairs(records))
+        except (KeyError, TypeError, MassFunctionError):
+            for i, record in enumerate(records):
+                _check_record(record, f"masses[{i}]")
+            for b in [frame._mask(record["elements"]) for record in records]:
+                FocalSet(frame, b)  # rejects the empty set
+            raise
     except MassFunctionError as exc:
         raise type(exc)(f"bba document: {exc}") from exc
 
 
-def _reject_record(record: Any, i: int) -> NoReturn:
-    """Raise the ParseError naming what is wrong with mass record ``i``."""
-    where = f"masses[{i}]"
+def _pairs(records: list):
+    """Each record's (elements, mass); elements must be a list: a dict passes as its keys."""
+    for record in records:
+        elements = record["elements"]
+        if type(elements) is not list:
+            raise TypeError
+        yield elements, record["mass"]
+
+
+def _check_record(record: Any, where: str) -> None:
+    """Raise a ParseError naming what is wrong with the mass record, if it is malformed."""
     elements = _require(record, "elements", list, where)
     if not all(isinstance(l, str) for l in elements):
         raise ParseError(f"{where}: elements must be strings")
-    raise ParseError(f"{where}: field 'mass' must be a number")
+    if type(record.get("mass")) not in _NUMBER:
+        raise ParseError(f"{where}: field 'mass' must be a number")
 
 
 def serialize_mass_function(m: MassFunction) -> str:
@@ -254,7 +247,7 @@ def parse_report_record(text: str) -> DecisionReport:
     frame = _parse_frame(doc, where)
     probs = _numbers(doc, "probabilities", where)
     method = TransformKind(_require(doc, "method", str, where))
-    return DecisionReport(
+    report = DecisionReport(
         method=method,
         distribution=ProbabilityDistribution(frame, probs),
         pic=PicScore(_require(doc, "pic", _NUMBER, where)),
@@ -263,3 +256,11 @@ def parse_report_record(text: str) -> DecisionReport:
         epsilon=_require(doc, "epsilon", _NUMBER, where) if "epsilon" in doc else None,
         iterations=_require(doc, "iterations", int, where) if "iterations" in doc else None,
     )
+    if not all(isinstance(label, str) for label in report.selected):
+        raise ParseError(f"{where}: field 'selected' must be a list of strings")
+    # decision_set also range-checks the threshold
+    if list(report.selected) != decision_set(report.distribution, report.decision_threshold):
+        raise ValidationError(f"{where}: 'selected' is not the labels above 'decision_threshold'")
+    if report.iterations is not None and report.iterations < 1:
+        raise ValidationError(f"{where}: 'iterations' must be at least 1, got {report.iterations}")
+    return report

@@ -146,6 +146,28 @@ class TestMassFunctionValidation:
             frame.subset("ab")
         assert make_mass_function(frame, [(["ab"], 1.0)]).mass(frame.subset(["ab"])) == 1.0
 
+    # One walk checks each pair in turn, so the first bad pair in input order
+    # raises, whatever its kind.
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([(["a"], 2.0), (["zz"], 0.5)], MassOutOfRangeError),
+            ([(["zz"], 0.5), (["a"], 2.0)], UnknownLabelError),
+            ([(["a"], 2.0), ([], 0.5)], MassOutOfRangeError),
+            ([([], 0.5), (["zz"], 0.5)], EmptySetMassError),
+        ],
+    )
+    def test_from_labels_reports_the_first_bad_pair(self, pairs, error):
+        with pytest.raises(error) as err:
+            MassFunction.from_labels(Frame(["a", "b"]), pairs)
+        assert type(err.value) is error
+
+    @pytest.mark.parametrize("first, second", [(2.0, -1.0), (-1.0, 2.0)])
+    def test_constructor_reports_the_first_bad_pair(self, first, second):
+        frame = Frame(["a", "b"])
+        with pytest.raises(MassOutOfRangeError, match=f"^mass {first!r} on \\('a',\\)"):
+            MassFunction(frame, {frame.subset(["a"]): first, frame.subset(["b"]): second})
+
 
 class TestBeliefPlausibility:
     def test_combat_singletons(self, combat_frame, combat_bba):

@@ -5,6 +5,7 @@ import pytest
 
 from pignistic import (
     DuplicateFocalSetError,
+    EmptySetMassError,
     MassOutOfRangeError,
     MassSumMismatchError,
     ParseError,
@@ -26,6 +27,13 @@ from pignistic.io import (
     serialize_mass_function,
     serialize_threshold_set,
 )
+
+
+BAD_MASS = {"elements": ["a"], "mass": 2.0}
+EMPTY = {"elements": [], "mass": 0.5}
+TWICE = [{"elements": ["b"], "mass": 0.25}, {"elements": ["b"], "mass": 0.25}]
+UNKNOWN = {"elements": ["zz"], "mass": 0.5}
+MALFORMED = {"elements": ["a"], "mass": "0.5"}
 
 
 class TestParseBba:
@@ -109,6 +117,31 @@ class TestParseBba:
         })
         with pytest.raises(ParseError, match=r"masses\[1\]"):
             parse_bba_document(text)
+
+    # The document ranking, whatever the records' order: a malformed record,
+    # then an unknown label, then the empty set, then the other value errors.
+    @pytest.mark.parametrize(
+        "records, error, message",
+        [
+            ([BAD_MASS, UNKNOWN], UnknownLabelError, "^bba document: label 'zz' not in frame"),
+            ([EMPTY, UNKNOWN], UnknownLabelError, "^bba document: label 'zz' not in frame"),
+            ([*TWICE, UNKNOWN], UnknownLabelError, "^bba document: label 'zz' not in frame"),
+            ([BAD_MASS, UNKNOWN, MALFORMED], ParseError, r"^masses\[2\]: field 'mass'"),
+            ([EMPTY, UNKNOWN, MALFORMED], ParseError, r"^masses\[2\]: field 'mass'"),
+            ([*TWICE, UNKNOWN, MALFORMED], ParseError, r"^masses\[3\]: field 'mass'"),
+            ([BAD_MASS, EMPTY], EmptySetMassError, "^bba document: the empty set"),
+        ],
+        ids=[
+            "unknown-after-bad-mass", "unknown-after-empty-set", "unknown-after-duplicate",
+            "malformed-after-bad-mass", "malformed-after-empty-set", "malformed-after-duplicate",
+            "empty-set-after-bad-mass",
+        ],
+    )
+    def test_error_ranking(self, records, error, message):
+        text = json.dumps({"frame": ["a", "b"], "masses": records})
+        with pytest.raises(error, match=message) as err:
+            parse_bba_document(text)
+        assert type(err.value) is error
 
     def test_huge_integer_mass(self):
         text = '{"frame": ["a"], "masses": [{"elements": ["a"], "mass": 1%s}]}' % ("0" * 400)
@@ -226,6 +259,7 @@ class TestRenderReport:
         [
             ("pic", None), ("pic", "x"), ("decision_threshold", None), ("selected", "a"),
             ("epsilon", "x"), ("iterations", "x"), ("iterations", True),
+            ("selected", [1, None]), ("selected", [["F"]]),
         ],
     )
     def test_malformed_record_field(self, combat_bba, field, value):
@@ -244,6 +278,12 @@ class TestRenderReport:
             ("probabilities", ["x", 0.5, 0.25, 0.25]),
             ("method", "nope"),
             ("pic", 1.5),
+            ("decision_threshold", 5),
+            ("decision_threshold", -1),
+            ("selected", ["zz"]),
+            ("selected", ["H"]),
+            ("iterations", -3),
+            ("iterations", 0),
         ],
     )
     def test_invalid_record_value(self, combat_bba, field, value):
