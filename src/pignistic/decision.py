@@ -55,18 +55,14 @@ class DecisionReport:
 
 
 def _check_threshold(threshold: float) -> None:
-    if not ((type(threshold) is float or _is_real(threshold)) and 0.0 <= threshold <= 1.0):
+    if not (_is_real(threshold) and 0.0 <= threshold <= 1.0):
         raise ValidationError(f"threshold must lie in [0, 1], got {threshold}")
 
 
 def decision_set(p: ProbabilityDistribution, threshold: float) -> list[str]:
     """Labels whose probability strictly exceeds the threshold, in frame order."""
     _check_threshold(threshold)
-    return [
-        label
-        for label, prob in zip(p.frame.labels, p.probabilities.tolist())
-        if prob > threshold
-    ]
+    return [label for label, prob in zip(p.frame.labels, p._tuple) if prob > threshold]
 
 
 def select_transform(sum_bel: float, sum_pl: float, t: ThresholdSet) -> TransformKind:

@@ -39,8 +39,8 @@ MASS_SUM_TOLERANCE = 1e-9
 
 
 def _is_real(x) -> bool:
-    """A real number but not a bool; the abstract ``numbers.Real`` check is slow."""
-    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
+    """A real number but not a bool; floats skip the slow abstract ``numbers.Real`` check."""
+    return type(x) is float or isinstance(x, (int, numbers.Real)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,13 @@ def _check_same_frame(a: Frame, b: Frame) -> None:
 class SingletonVector:
     """One non-negative value per singleton of a frame, in frame order.
 
-    Holds singleton Belief or Plausibility tabulations.
+    Holds singleton Belief or Plausibility tabulations: ``values`` as a
+    read-only float64 array, ``_tuple`` as Python floats, converted once.
     """
 
     frame: Frame
     values: np.ndarray = field(compare=False)
+    _tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _noun = "values"  # what the error messages call the values
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
@@ -174,7 +176,7 @@ class SingletonVector:
         return vector
 
     def _keep(self, frame: Frame, arr: np.ndarray) -> None:
-        """Check the float64 ``arr``, freeze it and keep it."""
+        """Check the float64 ``arr``, freeze it and keep it, and its values as floats."""
         if arr.shape != (frame.size,):
             raise ValidationError(
                 f"expected {frame.size} {self._noun}, got shape {arr.shape}"
@@ -185,9 +187,10 @@ class SingletonVector:
         arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_tuple", tuple(arr.tolist()))
 
     def __getitem__(self, label: str) -> float:
-        return float(self.values[self.frame.index(label)])
+        return self._tuple[self.frame.index(label)]
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -197,12 +200,12 @@ class SingletonVector:
     def sum_over(self, subset: FocalSet) -> float:
         """Sum of the values over the singletons of ``subset``."""
         _check_same_frame(self.frame, subset.frame)
-        return float(sum(v for i, v in enumerate(self.values) if subset.bits >> i & 1))
+        return sum(v for i, v in enumerate(self._tuple) if subset.bits >> i & 1)
 
     @property
     def total(self) -> float:
         """The exactly rounded sum of the values (``math.fsum``)."""
-        return math.fsum(self.values.tolist())
+        return math.fsum(self._tuple)
 
 
 class MassFunction:
@@ -252,8 +255,7 @@ class MassFunction:
             if not b:
                 raise EmptySetMassError("the empty set is not a valid focal set")
             bits.append(b)
-            real = type(mass) is float or _is_real(mass)
-            if not (real and 0.0 <= mass <= 1.0):  # NaN fails this as well
+            if not (_is_real(mass) and 0.0 <= mass <= 1.0):  # NaN fails this as well
                 raise MassOutOfRangeError(
                     f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"
                 )

@@ -174,7 +174,7 @@ def _report_record(report: DecisionReport) -> dict:
     record = {
         "method": report.method.value,
         "frame": list(report.distribution.frame.labels),
-        "probabilities": report.distribution.probabilities.tolist(),
+        "probabilities": list(report.distribution._tuple),
         "pic": report.pic.value,
         "decision_threshold": report.decision_threshold,
         "selected": list(report.selected),
@@ -198,7 +198,7 @@ def render_report(report: DecisionReport, fmt: str = HUMAN) -> str:
         lines.append(f"epsilon: {report.epsilon:.6f}")
     if report.iterations is not None:
         lines.append(f"iterations: {report.iterations}")
-    for label, prob in zip(frame.labels, report.distribution.probabilities):
+    for label, prob in zip(frame.labels, report.distribution._tuple):
         marker = " *" if label in report.selected else ""
         lines.append(f"  {label:<{width}}  {prob:.6f}{marker}")
     lines.append(f"PIC: {report.pic.value:.6f}")
@@ -224,7 +224,7 @@ def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> st
     lines = [header]
     for i, label in enumerate(frame.labels):
         row = f"{label:<{label_width}}" + "".join(
-            f"{r.distribution.probabilities[i]:>{col}.6f}" for r in reports
+            f"{r.distribution._tuple[i]:>{col}.6f}" for r in reports
         )
         lines.append(row)
     lines.append(

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FrameMismatchError, UnsupportedDivergenceError, ValidationError
-from .frame import _is_real
+from .errors import UnsupportedDivergenceError, ValidationError
+from .frame import _check_same_frame, _is_real
 from .transforms import ProbabilityDistribution
 
 
@@ -21,7 +21,7 @@ class PicScore:
     value: float
 
     def __post_init__(self):
-        if not ((type(self.value) is float or _is_real(self.value)) and 0.0 <= self.value <= 1.0):
+        if not (_is_real(self.value) and 0.0 <= self.value <= 1.0):
             raise ValidationError(f"PIC must lie in [0, 1], got {self.value}")
 
 
@@ -35,7 +35,7 @@ def pic(p: ProbabilityDistribution) -> PicScore:
     if n == 1:
         return PicScore(1.0)
     # libm's log, not np.log, whose SIMD loops may round differently by host
-    entropy = math.fsum([q * math.log(q) for q in p.probabilities.tolist() if q > 0.0])
+    entropy = math.fsum([q * math.log(q) for q in p._tuple if q > 0.0])
     value = 1.0 + entropy / math.log(n)
     # negligible negative drift from float summation near the uniform case
     return PicScore(min(1.0, max(0.0, value)))
@@ -47,10 +47,9 @@ def kl_divergence(p: ProbabilityDistribution, q: ProbabilityDistribution) -> flo
     Terms with p_i = 0 contribute nothing; p_i > 0 with q_i = 0 makes the
     divergence infinite and is rejected.
     """
-    if p.frame != q.frame:
-        raise FrameMismatchError("distributions are over different frames")
+    _check_same_frame(p.frame, q.frame)
     terms = []
-    for pi, qi in zip(p.probabilities, q.probabilities):
+    for pi, qi in zip(p._tuple, q._tuple):
         if pi == 0.0:
             continue
         if qi == 0.0:

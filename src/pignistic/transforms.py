@@ -131,15 +131,15 @@ def bet_p(m: MassFunction) -> TransformResult:
     share to a multiple of 2^-52 (``hi``) leaves sums below 2, exact in any
     summation order; each remainder ``lo`` is a multiple of u = ulp(smallest
     share) of at most 2^-53, so a label's remainders from the k focal sets
-    also sum exactly in any order when ``k <= 2^106 u``. Then ``hi @ M + lo @ M`` rounds the exact sum once,
-    as ``math.fsum`` does (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput.
-    31:189). A BBA past that certificate takes one ``fsum`` per label.
+    also sum exactly in any order when ``k <= 2^106 u``. Then adding the two
+    rows of ``(hi, lo) @ M`` rounds the exact sum once, as ``math.fsum`` does
+    (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput. 31:189). A BBA past that
+    certificate takes one ``fsum`` per label.
     """
     shares = m.masses / m.cardinality
     if len(shares) <= 2.0**106 * math.ulp(shares[shares.argmin()]):
         hi = (1.0 + shares) - 1.0
-        M = m._floats()
-        out = hi @ M + (shares - hi) @ M
+        out = np.add(*(np.array((hi, shares - hi)) @ m._floats()))
     else:
         out = np.array([math.fsum(memoryview(shares.compress(c))) for c in m.incidence.T])
     return _result(TransformKind.BET_P, m, out)

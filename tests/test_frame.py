@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from pignistic import (
     MassFunction,
     MassOutOfRangeError,
     MassSumMismatchError,
+    ProbabilityDistribution,
     SingletonVector,
+    TransformKind,
     UnknownLabelError,
     ValidationError,
+    apply_transform,
     make_frame,
     make_mass_function,
 )
+from pignistic.frame import _is_real
 
 from .oracles import bel_oracle, pl_oracle, powerset
 
@@ -271,6 +277,69 @@ class TestSingletonVectors:
         assert SingletonVector(frame, [1, 2]) != SingletonVector(frame, [3, 4])
         assert SingletonVector(frame, [1, 2]) == SingletonVector(frame, [1.0, 2.0])
         assert hash(SingletonVector(frame, [1, 2])) == hash(SingletonVector(frame, [3, 4]))
+
+
+def assert_tuple_is_values(vector):
+    """``_tuple`` is a tuple of exactly ``values.tolist()``, bit for bit (-0.0 included)."""
+    assert type(vector._tuple) is tuple
+    want = vector.values.tolist()
+    assert len(vector._tuple) == len(want)
+    for got, value in zip(vector._tuple, want):
+        assert type(got) is float and got.hex() == value.hex()
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.0, 1.0]
+
+
+def tiny_singleton_mass(mass):
+    return make_mass_function(
+        Frame(["a", "b", "c"]), [(["a"], mass), (["b"], 0.5), (["a", "c"], 0.5)]
+    )
+
+
+class TestFloatTuple:
+    def test_public_constructors(self):
+        frame = Frame("abcde")
+        assert_tuple_is_values(SingletonVector(frame, EDGE_VALUES))
+        assert_tuple_is_values(SingletonVector(frame, np.array(EDGE_VALUES)))
+        assert_tuple_is_values(ProbabilityDistribution(frame, EDGE_VALUES))
+        assert_tuple_is_values(ProbabilityDistribution(frame, [0, 0, 0, 0, 1]))
+
+    def test_item_access_keeps_the_sign_and_subnormals(self):
+        vector = SingletonVector(Frame("abcde"), EDGE_VALUES)
+        assert math.copysign(1.0, vector["a"]) == -1.0
+        assert vector["b"] == 5e-324 and type(vector["b"]) is float
+
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    def test_owned(self, cls):
+        vector = cls._owned(Frame("abcde"), np.array(EDGE_VALUES))
+        assert_tuple_is_values(vector)
+
+    def test_singleton_accessors(self, combat_bba):
+        tiny = tiny_singleton_mass(5e-324)
+        for m in (combat_bba, tiny):
+            assert_tuple_is_values(m.singleton_beliefs())
+            assert_tuple_is_values(m.singleton_plausibilities())
+        assert tiny.singleton_beliefs()._tuple[0] == 5e-324
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_transform_outputs(self, kind, combat_bba):
+        for m in (combat_bba, tiny_singleton_mass(1e-300)):
+            assert_tuple_is_values(apply_transform(kind.value, m).distribution)
+
+
+class TestIsReal:
+    @pytest.mark.parametrize(
+        "x", [0.5, -0.0, math.inf, 3, np.float64(0.5), np.int64(3), Fraction(1, 3)]
+    )
+    def test_real_numbers(self, x):
+        assert _is_real(x) is True
+
+    @pytest.mark.parametrize(
+        "x", [True, False, np.bool_(True), Decimal("0.5"), "0.5", 1j, None]
+    )
+    def test_not_real_numbers(self, x):
+        assert _is_real(x) is False
 
 
 class TestSums:

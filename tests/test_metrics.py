@@ -93,6 +93,10 @@ class TestKlDivergence:
         with pytest.raises(FrameMismatchError):
             kl_divergence(dist("ab", [0.5, 0.5]), dist("xy", [0.5, 0.5]))
 
+    def test_frame_mismatch_is_the_shared_frame_rule(self):
+        with pytest.raises(FrameMismatchError, match="frames differ"):
+            kl_divergence(dist("ab", [0.5, 0.5]), dist("abc", [0.5, 0.25, 0.25]))
+
     def test_zero_p_terms_ignored(self):
         p = dist("abc", [0.7, 0.3, 0.0])
         q = dist("abc", [0.4, 0.3, 0.3])
