@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage, validation or parse errors, 2 when the
-self-consistent solver fails to converge, so shell pipelines can tell bad
-input apart from numerical failure.
+Exit codes: 0 on success, 1 on usage, validation or parse errors and on
+output that cannot be written, 2 when the self-consistent solver fails to
+converge, so shell pipelines can tell bad input apart from numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from .io import (
     render_report,
 )
 from .metrics import pic as pic_score
-from .transforms import SolverConfig, TransformKind
+from .transforms import SolverConfig, TransformKind, apply_transform
 
 _METHODS = sorted(kind.value.lower() for kind in TransformKind)
 
@@ -107,28 +108,23 @@ def _read(path: Path) -> str:
         raise PignisticError(f"cannot read {path}: {exc}") from exc
 
 
-def _run(args: argparse.Namespace, out) -> None:
+def _run(args: argparse.Namespace) -> str:
     solver = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iter)
-    if args.command == "transform":
-        m = parse_bba_document(_read(args.input))
-        report = report_for(m, TransformKind(args.method), args.risk, solver)
-        print(render_report(report, args.format), file=out)
-    elif args.command == "pic":
-        dist = parse_bba_or_distribution(_read(args.input))
+    text = _read(args.input)
+    if args.command == "pic":
+        dist = parse_bba_or_distribution(text)
         if isinstance(dist, MassFunction):
-            dist = report_for(dist, TransformKind(args.method), 0.0, solver).distribution
-        print(f"{pic_score(dist).value:.6f}", file=out)
-    elif args.command == "decide":
-        m = parse_bba_document(_read(args.input))
-        thresholds = parse_threshold_document(_read(args.thresholds))
-        report = evaluate(m, thresholds, args.risk, solver)
-        print(render_report(report, args.format), file=out)
-    elif args.command == "compare":
-        m = parse_bba_document(_read(args.input))
-        reports = [
-            report_for(m, kind, args.risk, solver) for kind in TransformKind
-        ]
-        print(render_comparison(reports, args.format), file=out)
+            dist = apply_transform(args.method, dist, solver).distribution
+        return f"{pic_score(dist).value:.6f}"
+    m = parse_bba_document(text)
+    if args.command == "compare":
+        reports = [report_for(m, kind, args.risk, solver) for kind in TransformKind]
+        return render_comparison(reports, args.format)
+    if args.command == "decide":
+        report = evaluate(m, parse_threshold_document(_read(args.thresholds)), args.risk, solver)
+    else:
+        report = report_for(m, TransformKind(args.method), args.risk, solver)
+    return render_report(report, args.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -137,12 +133,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # a usage error exits 1, as 2 means no convergence; --help 0
         return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     try:
-        _run(args, sys.stdout)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        text = _run(args)
     except PignisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID_INPUT
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # devnull takes the flush at exit ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     return EXIT_OK
 

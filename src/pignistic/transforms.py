@@ -109,17 +109,19 @@ def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     ``single + w * M^T (m_c / M w)``, where ``m_c`` is zero on the singleton
     rows and ``M`` is ``m._floats()``, fetched once by the caller, once per
     PrScP solve. Adding singleton mass as it is keeps Bayesian inputs exact
-    fixed points (no w/w rounding)."""
+    fixed points (no w/w rounding). The masses sum to one, so no ``m_c / denom``
+    overflows where every denominator is normal; a row with a subnormal one
+    takes ``m_c * (w / denom)`` instead, whose ratios are at most 1."""
     denom = M @ weights
     single = m._bel
-    if denom[denom.argmin()] > 0.0:  # argmin and argmax here: see SingletonVector._keep
+    if denom[denom.argmin()] >= 2.0**-1022:  # argmin and argmax here: see SingletonVector._keep
         return single + weights * ((m.compound_masses / denom) @ M)
-    proportional = denom > 0.0
-    per_weight = np.divide(
-        m.compound_masses, denom, out=np.zeros_like(denom), where=proportional
-    )
+    normal = denom >= 2.0**-1022
+    per_weight = np.divide(m.compound_masses, denom, out=np.zeros_like(denom), where=normal)
     out = single + weights * (per_weight @ M)
-    return out + np.where(proportional, 0.0, m.compound_masses / m.cardinality) @ M
+    tiny = ~normal & (denom > 0.0)
+    out += m.compound_masses[tiny] @ (M[tiny] * weights / denom[tiny, None])
+    return out + np.where(denom > 0.0, 0.0, m.compound_masses / m.cardinality) @ M
 
 
 def bet_p(m: MassFunction) -> TransformResult:

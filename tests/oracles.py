@@ -4,6 +4,7 @@ Everything here works on plain dicts of frozensets and enumerates the full
 power set, independent of the bitmask-based package internals.
 """
 
+from fractions import Fraction
 from itertools import chain, combinations
 from math import fsum
 
@@ -82,3 +83,42 @@ def kkt_gap_oracle(masses, labels, probabilities):
         for x in s:
             g[x].append(m / denom if denom > 0.0 else float("inf"))
     return max(fsum(g[label]) for label in prbl_support_oracle(masses)) - 1.0
+
+
+def _exact_bel_pl(masses, labels):
+    bel = {label: Fraction(masses.get(frozenset([label]), 0.0)) for label in labels}
+    pl = {
+        label: sum((Fraction(m) for s, m in masses.items() if label in s), Fraction(0))
+        for label in labels
+    }
+    return bel, pl
+
+
+def proportional_split_oracle(masses, labels, weights):
+    """Each focal set's mass shared among its members proportionally to
+    ``weights`` (equally where every member weighs zero), summed in exact
+    rationals and rounded once per label."""
+    out = dict.fromkeys(labels, Fraction(0))
+    for s, m in masses.items():
+        total = sum(Fraction(weights[x]) for x in s)
+        for x in s:
+            share = Fraction(weights[x]) / total if total else Fraction(1, len(s))
+            out[x] += Fraction(m) * share
+    return {label: float(v) for label, v in out.items()}
+
+
+def pr_pl_oracle(masses, labels):
+    """PrPl in exact rationals: weights are the exact singleton Plausibilities."""
+    return proportional_split_oracle(masses, labels, _exact_bel_pl(masses, labels)[1])
+
+
+def pr_bl_oracle(masses, labels):
+    """PrBl in exact rationals: weights are the singleton masses."""
+    return proportional_split_oracle(masses, labels, _exact_bel_pl(masses, labels)[0])
+
+
+def pra_pl_oracle(masses, labels):
+    """Bel + epsilon * Pl with epsilon = (1 - SumBel) / SumPl, in exact rationals."""
+    bel, pl = _exact_bel_pl(masses, labels)
+    epsilon = (1 - sum(bel.values())) / sum(pl.values())
+    return {label: float(bel[label] + epsilon * pl[label]) for label in labels}

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pignistic import (
+    ConvergenceError,
     FocalSet,
     Frame,
     MassFunction,
@@ -40,7 +41,11 @@ from pignistic.io import parse_bba_document, parse_distribution_document
 from .oracles import (
     bel_oracle,
     betp_oracle,
+    kkt_gap_oracle,
     pl_oracle,
+    pr_bl_oracle,
+    pr_pl_oracle,
+    pra_pl_oracle,
     self_consistency_residual_oracle,
 )
 
@@ -205,6 +210,63 @@ def test_masses_near_underflow():
         assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) <= 1e-12
     result = pr_sc_p(m, SolverConfig(tolerance=1e-12, max_iterations=100_000))
     assert prscp_residual(m, result.distribution) < 1e-11
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tiny", [5e-324, 1e-320, 1e-310])
+def test_subnormal_singleton_mass_is_split_without_overflow(tiny):
+    # {a, c}'s members weigh tiny in PrBl, so 0.5 / tiny would overflow;
+    # that row is split as 0.5 * (tiny / tiny) instead
+    m = MassFunction.from_labels(
+        Frame(["a", "b", "c"]), [(["a"], tiny), (["b"], 0.5), (["a", "c"], 0.5)]
+    )
+    assert pr_bl(m).distribution.values.tolist() == [0.5, 0.5, 0.0]
+    assert pr_sc_p(m).distribution.values.tolist() == [0.5, 0.5, 0.0]
+
+
+@pytest.fixture(scope="module")
+def wide_magnitude_bbas():
+    """500 BBAs per lower bound lo: 2-8 labels, 2 to min(20, 2^n - 1) distinct
+    focal sets, weights 10^U(lo, 0) normalised by fsum, so masses span up to
+    330 decades and include subnormals and exact zeros."""
+    rng = random.Random(7)
+    bbas = []
+    for lo in (-300, -315, -330):
+        for _ in range(500):
+            n = rng.randint(2, 8)
+            frame = Frame([f"h{i}" for i in range(n)])
+            sets = rng.sample(range(1, 2**n), rng.randint(2, min(20, 2**n - 1)))
+            weights = [10.0 ** rng.uniform(lo, 0) for _ in sets]
+            total = math.fsum(weights)
+            masses = {FocalSet(frame, b): w / total for b, w in zip(sets, weights)}
+            bbas.append(MassFunction(frame, masses))
+    return bbas
+
+
+@pytest.mark.filterwarnings("error")
+def test_proportional_transforms_match_exact_rationals_over_wide_magnitudes(wide_magnitude_bbas):
+    for m in wide_magnitude_bbas:
+        masses, labels = frozen_masses(m), m.frame.labels
+        for transform, oracle in (
+            (pra_pl, pra_pl_oracle), (pr_pl, pr_pl_oracle), (pr_bl, pr_bl_oracle)
+        ):
+            expected = oracle(masses, labels)
+            got = transform(m).distribution
+            assert max(abs(got[label] - expected[label]) for label in labels) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_prscp_over_wide_magnitudes_is_certified_or_raises(wide_magnitude_bbas):
+    answers = 0
+    for m in wide_magnitude_bbas:
+        try:
+            p = pr_sc_p(m).distribution
+        except ConvergenceError:
+            continue
+        answers += 1
+        labels = m.frame.labels
+        assert kkt_gap_oracle(frozen_masses(m), labels, {l: p[l] for l in labels}) <= 1e-6
+    assert answers > 0
 
 
 def exactly_rounded_betp(m):

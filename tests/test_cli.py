@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pignistic
-from pignistic import TransformKind, evaluate, report_for
+from pignistic import TransformKind, apply_transform, evaluate, pic, report_for
 from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from pignistic.io import (
     parse_bba_document,
@@ -122,6 +122,13 @@ class TestPicCommand:
         assert main(["pic", "--input", str(doc)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.188722"
 
+    @pytest.mark.parametrize("method", [kind.value for kind in TransformKind])
+    def test_every_method_prints_the_transforms_pic(self, capsys, combat_path, method):
+        assert main(["pic", "--input", combat_path, "--method", method.lower()]) == EXIT_OK
+        m = parse_bba_document(Path(combat_path).read_text())
+        expected = f"{pic(apply_transform(method, m).distribution).value:.6f}\n"
+        assert capsys.readouterr().out == expected
+
 
 class TestDecideCommand:
     def test_forced_prscp(self, capsys, combat_path, tmp_path):
@@ -154,6 +161,17 @@ class TestDecideCommand:
              "--risk", "0.0455"]
         )
         assert code == EXIT_INVALID_INPUT
+
+    def test_invalid_bba_is_reported_before_a_missing_thresholds_file(
+        self, capsys, data_dir, tmp_path
+    ):
+        code = main(
+            ["decide", "--input", str(data_dir / "invalid" / "unknown_label.json"),
+             "--thresholds", str(tmp_path / "missing.json"), "--risk", "0.0455"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID_INPUT and out == ""
+        assert err == "error: bba document: label 'c' not in frame ('a', 'b')\n"
 
 
 class TestCompareCommand:
@@ -190,6 +208,75 @@ class TestCompareCommand:
         )
         assert child.returncode == EXIT_OK, child.stderr
         assert child.stdout == expected
+
+
+class TestOutputIsTheLibrarysText:
+    """Each command prints exactly what the library renders, plus a newline."""
+
+    @pytest.mark.parametrize("fmt", ["table", "record"])
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    def test_transform(self, capsys, combat_path, kind, fmt):
+        argv = ["transform", "--method", kind.value.lower(), "--input", combat_path,
+                "--risk", "0.0455", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        m = parse_bba_document(Path(combat_path).read_text())
+        expected = render_report(report_for(m, kind, 0.0455), fmt)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "record"])
+    def test_decide(self, capsys, combat_path, thresholds_path, fmt):
+        argv = ["decide", "--input", combat_path, "--thresholds", thresholds_path,
+                "--risk", "0.0455", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        m = parse_bba_document(Path(combat_path).read_text())
+        thresholds = parse_threshold_document(Path(thresholds_path).read_text())
+        expected = render_report(evaluate(m, thresholds, 0.0455), fmt)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "record"])
+    def test_compare(self, capsys, combat_path, fmt):
+        argv = ["compare", "--input", combat_path, "--risk", "0.0455", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        m = parse_bba_document(Path(combat_path).read_text())
+        reports = [report_for(m, kind, 0.0455) for kind in TransformKind]
+        assert capsys.readouterr().out == render_comparison(reports, fmt) + "\n"
+
+
+def child_env():
+    src = str(Path(pignistic.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
+class TestOutputErrors:
+    """Output that cannot be written exits 1 with one error line, not a traceback."""
+
+    def argv(self, combat_path):
+        return [sys.executable, "-m", "pignistic.cli", "compare", "--input", combat_path,
+                "--format", "record"]
+
+    def test_closed_pipe(self, combat_path):
+        proc = subprocess.Popen(
+            self.argv(combat_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        proc.stdout.close()  # before the child has imported numpy, let alone written
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert b"Traceback" not in err
+        assert err == b"error: cannot write output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, combat_path):
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                self.argv(combat_path), stdout=full, stderr=subprocess.PIPE,
+                env=child_env(), timeout=120,
+            )
+        assert child.returncode == EXIT_INVALID_INPUT
+        assert b"Traceback" not in child.stderr
+        assert child.stderr == b"error: cannot write output: No space left on device\n"
 
 
 class TestInvalidCatalog:
