@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on usage, validation or parse errors and on
-output that cannot be written, 2 when the self-consistent solver fails to
-converge, so shell pipelines can tell bad input apart from numerical failure.
+output that cannot be encoded or written, 2 when the self-consistent solver
+fails to converge, so shell pipelines can tell bad input from numerical failure.
 """
 
 from __future__ import annotations
@@ -139,9 +139,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID_INPUT
     try:
         print(text, flush=True)
-    except OSError as exc:  # devnull takes the flush at exit ("Note on SIGPIPE", signal docs)
+    except (OSError, UnicodeEncodeError) as exc:  # the encoding error has no strerror
+        # devnull takes the flush at exit ("Note on SIGPIPE", signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write output: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     return EXIT_OK
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class Frame:
         return FocalSet(self, self._mask(members))
 
     def singleton(self, label: str) -> FocalSet:
-        return FocalSet(self, 1 << self.index(label))
+        return self.subset((label,))
 
     @property
     def full_set(self) -> FocalSet:
@@ -127,7 +128,7 @@ class FocalSet:
         )
 
     def __contains__(self, label: str) -> bool:
-        return self.bits >> self.frame.index(label) & 1 == 1
+        return self.bits & self.frame._mask((label,)) != 0
 
     def issubset(self, other: FocalSet) -> bool:
         _check_same_frame(self.frame, other.frame)
@@ -232,7 +233,7 @@ class MassFunction:
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
         for subset in assignments:
             _check_same_frame(frame, subset.frame)
-        self._store(frame, [(s.labels, mass) for s, mass in assignments.items()])
+        self._store(frame, assignments.items(), attrgetter("bits"))
 
     @classmethod
     def from_labels(
@@ -243,12 +244,11 @@ class MassFunction:
         """Build from (subset labels, mass) pairs; unlisted subsets get mass 0.
         The first bad pair in input order raises."""
         m = cls.__new__(cls)
-        m._store(frame, assignments)
+        m._store(frame, assignments, frame._mask)
         return m
 
-    def _store(self, frame: Frame, assignments: Iterable[tuple[Iterable[str], float]]) -> None:
-        """Walk the pairs once, checking each, then build every table the transforms read."""
-        mask = frame._mask
+    def _store(self, frame: Frame, assignments: Iterable, mask: Callable[..., int]) -> None:
+        """Walk the pairs once, checking each and masking its members, then build every table."""
         bits, kept, values, sizes, compound, singles = [], [], [], [], [], [0.0] * frame.size
         for members, mass in assignments:
             b = mask(members)
@@ -359,11 +359,5 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def make_frame(labels: Iterable[str]) -> Frame:
-    return Frame(labels)
-
-
-def make_mass_function(
-    frame: Frame, assignments: Iterable[tuple[Iterable[str], float]]
-) -> MassFunction:
-    return MassFunction.from_labels(frame, assignments)
+make_frame = Frame
+make_mass_function = MassFunction.from_labels

@@ -279,6 +279,38 @@ class TestOutputErrors:
         assert child.stderr == b"error: cannot write output: No space left on device\n"
 
 
+class TestUnencodableOutput:
+    """A label standard output's encoding cannot represent: a table exits 1 with one
+    error line, a record exits 0, as JSON escapes the label to ASCII."""
+
+    def run(self, tmp_path, argv):
+        doc = tmp_path / "ete.json"
+        doc.write_text(json.dumps({"frame": ["été", "b"], "masses": [
+            {"elements": ["été"], "mass": 0.5}, {"elements": ["été", "b"], "mass": 0.5},
+        ]}), encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "pignistic.cli", *argv, "--input", str(doc)],
+            capture_output=True, env=dict(child_env(), PYTHONIOENCODING="ascii"), timeout=120,
+        )
+
+    @pytest.mark.parametrize("argv", [["transform", "--method", "betp"], ["compare"]])
+    def test_table_exits_one_with_one_error_line(self, tmp_path, argv):
+        child = self.run(tmp_path, argv)
+        assert child.returncode == EXIT_INVALID_INPUT
+        assert child.stdout == b""
+        assert b"Traceback" not in child.stderr
+        [line] = child.stderr.decode("ascii").splitlines()
+        assert line.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("argv", [["transform", "--method", "betp"], ["compare"]])
+    def test_record_exits_zero(self, tmp_path, argv):
+        child = self.run(tmp_path, [*argv, "--format", "record"])
+        assert child.returncode == EXIT_OK, child.stderr
+        records = json.loads(child.stdout)
+        for record in records if isinstance(records, list) else [records]:
+            assert record["frame"] == ["été", "b"]
+
+
 class TestInvalidCatalog:
     @pytest.mark.parametrize(
         "name",

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -389,3 +390,70 @@ class TestSums:
             p = combat_bba.plausibility(fs)
             assert 0.0 <= b <= p + 1e-15
             assert p <= 1.0 + 1e-15
+
+
+def seeded_pairs(seed, n, k):
+    """k distinct focal sets of an n-label frame as (labels, mass) pairs; some masses are 0."""
+    rng = random.Random(f"{seed}/parity")
+    labels = [f"h{i}" for i in range(n)]
+    chosen = list(dict.fromkeys(rng.randrange(1, 1 << n) for _ in range(k)))
+    weights = [rng.choice([0.0, rng.random()]) for _ in chosen[1:]] + [1.0]
+    total = math.fsum(weights)
+    return labels, [
+        ([l for i, l in enumerate(labels) if b >> i & 1], w / total)
+        for b, w in zip(chosen, weights)
+    ]
+
+
+class TestConstructorParity:
+    """The mapping constructor and ``from_labels`` build the same object."""
+
+    TABLES = ["bits", "masses", "cardinality", "compound_masses", "incidence", "_bel", "_pl"]
+
+    @pytest.mark.parametrize(
+        "seed, n, k", [(0, 1, 1), (1, 2, 3), (2, 5, 20), (3, 16, 200), (4, 32, 500), (5, 64, 1000)]
+    )
+    def test_same_tables_byte_for_byte(self, seed, n, k):
+        labels, pairs = seeded_pairs(seed, n, k)
+        frame = Frame(labels)
+        by_labels = MassFunction.from_labels(frame, pairs)
+        by_sets = MassFunction(frame, {frame.subset(s): w for s, w in pairs})
+        for table in self.TABLES:
+            a, b = getattr(by_labels, table), getattr(by_sets, table)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), table
+        assert by_labels.sum_bel().hex() == by_sets.sum_bel().hex()
+        assert by_labels.sum_pl().hex() == by_sets.sum_pl().hex()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(["a"], 0.5), (["b"], 1.5)],
+            [(["a"], -0.25), (["b"], 1.25)],
+            [(["a"], math.nan), (["a", "b"], 1.0)],
+            [(["a"], 0.5), (["a", "b"], 0.25)],
+            [(["a"], 0.75), (["b"], 0.5)],
+        ],
+    )
+    def test_same_error_type_and_message(self, pairs):
+        frame = Frame(["a", "b"])
+        with pytest.raises((MassOutOfRangeError, MassSumMismatchError)) as by_labels:
+            MassFunction.from_labels(frame, pairs)
+        with pytest.raises(type(by_labels.value)) as by_sets:
+            MassFunction(frame, {frame.subset(s): w for s, w in pairs})
+        assert type(by_sets.value) is type(by_labels.value)
+        assert str(by_sets.value) == str(by_labels.value)
+
+    def test_singleton_and_membership_by_label_position(self):
+        frame = Frame([f"h{i}" for i in range(64)])
+        rng = random.Random(64)
+        focal_sets = [frame.full_set] + [
+            FocalSet(frame, rng.randrange(1, 1 << 64)) for _ in range(20)
+        ]
+        for i, label in enumerate(frame.labels):
+            assert frame.singleton(label).bits == 1 << i
+            for fs in focal_sets:
+                assert (label in fs) is bool(fs.bits >> i & 1)
+        with pytest.raises(UnknownLabelError, match="label 'h64' not in frame"):
+            frame.singleton("h64")
+        with pytest.raises(UnknownLabelError, match="label 'h64' not in frame"):
+            "h64" in frame.full_set
