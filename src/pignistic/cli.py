@@ -8,6 +8,7 @@ fails to converge, so shell pipelines can tell bad input from numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -138,11 +139,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID_INPUT
     try:
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError("standard output is closed")
         print(text, flush=True)
-    except (OSError, UnicodeEncodeError) as exc:  # the encoding error has no strerror
-        # devnull takes the flush at exit ("Note on SIGPIPE", signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
+    except (OSError, UnicodeEncodeError) as exc:  # not every one has a strerror
+        # devnull takes the exit flush ("Note on SIGPIPE", signal docs) if stdout has a descriptor
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(AttributeError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: cannot write output:", getattr(exc, "strerror", None) or exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 from .decision import DecisionReport, ThresholdSet, decision_set
 from .errors import MassFunctionError, ParseError, ValidationError
 from .frame import FocalSet, Frame, MassFunction
+from .metrics import PicScore
 from .transforms import ProbabilityDistribution, TransformKind
 
 
@@ -240,8 +241,6 @@ def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> st
 
 def parse_report_record(text: str) -> DecisionReport:
     """Inverse of the machine format; round-trips distributions bit-exactly."""
-    from .metrics import PicScore
-
     doc = _load_json(text)
     where = "report record"
     frame = _parse_frame(doc, where)

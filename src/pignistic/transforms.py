@@ -209,10 +209,9 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     SQUAREM (Varadhan & Roland 2008) accelerates it. Each cycle takes two EM
     steps and extrapolates along them; a stabilising EM step pulls that point
     back towards the EM path; a point not positive wherever the plain iterate
-    ``x2`` is falls back to ``x2``. A point is returned only when its max-norm
-    step is below ``config.tolerance``, its residual below ten times that, and
-    its optimality gap at most ``GAP_TOLERANCE``; ``iterations`` counts the EM
-    map evaluations up to it, stabilising steps included.
+    ``x2`` is falls back to ``x2``. A cycle returns its start ``x`` when the EM
+    step from ``x`` is below ``config.tolerance`` and ``x``'s optimality gap at
+    most ``GAP_TOLERANCE``; ``iterations`` counts every EM evaluation after PrBl.
     """
     M = m._floats()
     x = _split(m, m._bel, M)  # PrBl
@@ -220,20 +219,17 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     iterations = 0
     while iterations < config.max_iterations:
         x1 = _split(m, x, M)
-        x2 = _split(m, x1, M)
         iterations += 1
-        r, v = x1 - x, x2 - 2.0 * x1 + x
+        r = x1 - x
         step = np.abs(r)
-        if (
-            step[step.argmax()] < config.tolerance
-            and np.abs(x2 - x1).max() < 10.0 * config.tolerance
-            and _gap(m, x1, support, M) <= GAP_TOLERANCE
-        ):
-            return _result(TransformKind.PR_SC_P, m, x1, iterations=iterations)
+        if step[step.argmax()] < config.tolerance and _gap(m, x, support, M) <= GAP_TOLERANCE:
+            return _result(TransformKind.PR_SC_P, m, x, iterations=iterations)
         if iterations == config.max_iterations:
             x = x1
             break
+        x2 = _split(m, x1, M)
         iterations += 1
+        v = x2 - 2.0 * x1 + x
         norm_v = math.sqrt(v @ v)
         alpha = max(math.sqrt(r @ r) / norm_v, 1.0) if norm_v else 1.0
         y = x + 2.0 * alpha * r + alpha * alpha * v

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import subprocess
@@ -309,6 +310,52 @@ class TestUnencodableOutput:
         records = json.loads(child.stdout)
         for record in records if isinstance(records, list) else [records]:
             assert record["frame"] == ["été", "b"]
+
+
+class TestOutputWithoutDescriptorOrCause:
+    """The same one line and exit 1 where standard output is closed, has no file
+    descriptor, or fails with an OSError that carries no strerror."""
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 in the child")
+    def test_closed_standard_output(self, combat_path):
+        child = subprocess.run(
+            [sys.executable, "-m", "pignistic.cli", "compare", "--input", combat_path,
+             "--format", "record"],
+            stderr=subprocess.PIPE, env=child_env(), timeout=120,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert child.returncode == EXIT_INVALID_INPUT
+        assert child.stderr == b"error: cannot write output: standard output is closed\n"
+
+    def test_stream_without_descriptor(self, capsys, monkeypatch, tmp_path):
+        doc = tmp_path / "ete.json"
+        doc.write_text(json.dumps({"frame": ["été", "b"], "masses": [
+            {"elements": ["été"], "mass": 1.0},
+        ]}), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main(["transform", "--method", "betp", "--input", str(doc)]) == EXIT_INVALID_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write output: 'ascii' codec can't encode")
+
+    def test_error_without_strerror(self, capsys, monkeypatch, combat_path, tmp_path):
+        unwritable = tmp_path / "out"
+        unwritable.write_text("")
+        with open(unwritable) as stdout:  # opened for reading: io.UnsupportedOperation
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["transform", "--method", "betp", "--input", combat_path])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: cannot write output: not writable\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_descriptor_leaks(self, capsys, monkeypatch, combat_path, tmp_path):
+        unwritable = tmp_path / "out"
+        unwritable.write_text("")
+        with open(unwritable) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            code = main(["transform", "--method", "betp", "--input", combat_path])
+            assert len(os.listdir("/proc/self/fd")) == before
+        assert code == EXIT_INVALID_INPUT
 
 
 class TestInvalidCatalog:

@@ -184,3 +184,52 @@ def test_gap_is_infinite_where_a_focal_set_has_zero_probability():
     m = MassFunction.from_labels(Frame(["a", "b"]), [(["a"], 0.5), (["b"], 0.5)])
     support = np.array([True, True])
     assert transforms._gap(m, np.array([1.0, 0.0]), support, m._floats()) == math.inf
+
+
+@pytest.fixture
+def em_calls(monkeypatch):
+    """The number of ``transforms._split`` calls so far: PrBl, EM maps and residuals."""
+    calls = [0]
+    split = transforms._split
+
+    def counted(m, weights, M):
+        calls[0] += 1
+        return split(m, weights, M)
+
+    monkeypatch.setattr(transforms, "_split", counted)
+    return calls
+
+
+def solve_counted(m, config, em_calls):
+    """Solve, requiring that ``iterations`` is exactly the EM evaluations after
+    PrBl and that an answer carries both facts of the return test itself."""
+    em_calls[0] = 0
+    try:
+        result = pr_sc_p(m, config)
+    except ConvergenceError as err:
+        assert err.iterations == em_calls[0] - 2  # the PrBl start and the error's residual
+        return None
+    assert result.iterations == em_calls[0] - 1  # the PrBl start
+    assert prscp_residual(m, result.distribution) < config.tolerance
+    assert gap_of(m, result.distribution) <= GAP_BOUND
+    return result
+
+
+def test_combat_answer_is_the_point_whose_step_was_checked(combat_bba, em_calls):
+    assert solve_counted(combat_bba, SolverConfig(), em_calls) is not None
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-9, 1e-12])
+def test_seeded_answers_count_every_em_evaluation(em_calls, tolerance):
+    config = SolverConfig(tolerance=tolerance)
+    answers = [
+        solve_counted(seeded_bba(seed, n, 2 * n), config, em_calls)
+        for n in range(4, 13)
+        for seed in range(5)
+    ]
+    assert any(answer is not None for answer in answers)
+
+
+@pytest.mark.parametrize("budget", range(1, 13))
+def test_budget_errors_count_every_em_evaluation(combat_bba, em_calls, budget):
+    solve_counted(combat_bba, SolverConfig(max_iterations=budget), em_calls)
