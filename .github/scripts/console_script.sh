@@ -11,6 +11,11 @@ test "$code" -eq 1
 code=0; err=$(pignistic decide --input tests/data/invalid/unknown_label.json --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
 test "$code" -eq 1
 echo "$err" | grep -F "bba document: label 'c' not in frame"
+# input that cannot be read: one error line and exit 1, never a traceback
+code=0; err=$(pignistic decide --input "$tmp/missing.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
+test "$code" -eq 1
+echo "$err" | grep -F "error: cannot read"
+if echo "$err" | grep -F Traceback; then exit 1; fi
 code=0; pignistic transform --method prscp --input tests/data/combat_id.json --tolerance 1e-15 --max-iter 3 || code=$?
 test "$code" -eq 2
 pignistic compare --input tests/data/combat_id.json --format record

@@ -103,10 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PignisticError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise PignisticError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # not every one has a strerror
+        raise PignisticError(f"cannot read {path}: {getattr(exc, 'strerror', '') or exc}") from exc
 
 
 def _run(args: argparse.Namespace) -> str:

@@ -199,9 +199,9 @@ class SingletonVector:
         return self.frame == other.frame and np.array_equal(self.values, other.values)
 
     def sum_over(self, subset: FocalSet) -> float:
-        """Sum of the values over the singletons of ``subset``."""
+        """Sum of the values over the singletons of ``subset``, rounded once (``math.fsum``)."""
         _check_same_frame(self.frame, subset.frame)
-        return sum(v for i, v in enumerate(self._tuple) if subset.bits >> i & 1)
+        return math.fsum(v for i, v in enumerate(self._tuple) if subset.bits >> i & 1)
 
     @property
     def total(self) -> float:

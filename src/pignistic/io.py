@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .decision import DecisionReport, ThresholdSet, decision_set
 from .errors import MassFunctionError, ParseError, ValidationError
-from .frame import FocalSet, Frame, MassFunction
+from .frame import Frame, MassFunction
 from .metrics import PicScore
 from .transforms import ProbabilityDistribution, TransformKind
 
@@ -92,8 +92,8 @@ def _mass_function_from(doc: Any) -> MassFunction:
         except (KeyError, TypeError, MassFunctionError):
             for i, record in enumerate(records):
                 _check_record(record, f"masses[{i}]")
-            for b in [frame._mask(record["elements"]) for record in records]:
-                FocalSet(frame, b)  # rejects the empty set
+            for record in sorted(records, key=lambda r: not r["elements"]):
+                frame.subset(record["elements"])  # an unknown label, then the empty set
             raise
     except MassFunctionError as exc:
         raise type(exc)(f"bba document: {exc}") from exc

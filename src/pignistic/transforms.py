@@ -141,7 +141,8 @@ def bet_p(m: MassFunction) -> TransformResult:
     shares = m.masses / m.cardinality
     if len(shares) <= 2.0**106 * math.ulp(shares[shares.argmin()]):
         hi = (1.0 + shares) - 1.0
-        out = np.add(*(np.array((hi, shares - hi)) @ m._floats()))
+        rows = np.array((hi, shares - hi)) @ m._floats()
+        out = rows[0] + rows[1]
     else:
         out = np.array([math.fsum(memoryview(shares.compress(c))) for c in m.incidence.T])
     return _result(TransformKind.BET_P, m, out)

@@ -91,6 +91,15 @@ class TestTransformCommand:
         assert code == EXIT_INVALID_INPUT
         assert f"error: cannot read {path}" in capsys.readouterr().err
 
+    def test_read_error_without_strerror(self, capsys, monkeypatch, combat_path):
+        def fail(*args, **kwargs):
+            raise OSError("boom")
+
+        monkeypatch.setattr(Path, "read_text", fail)
+        code = main(["transform", "--method", "betp", "--input", combat_path])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: cannot read {combat_path}: boom\n"
+
 
 class TestUsageErrors:
     """argparse exits 2 on a usage error, but 2 means no convergence here."""

@@ -457,3 +457,25 @@ class TestConstructorParity:
             frame.singleton("h64")
         with pytest.raises(UnknownLabelError, match="label 'h64' not in frame"):
             "h64" in frame.full_set
+
+
+class TestSumOver:
+    """``sum_over`` rounds once (``math.fsum``), as ``total`` does."""
+
+    def test_ten_tenths(self):
+        frame = Frame([f"h{i}" for i in range(10)])
+        vector = SingletonVector(frame, [0.1] * 10)
+        assert vector.sum_over(frame.full_set) == vector.total == 1.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_vectors_match_fsum(self, seed):
+        rng = random.Random(f"{seed}/sum_over")
+        n = rng.randint(1, 64)
+        frame = Frame([f"h{i}" for i in range(n)])
+        values = [rng.random() * 10.0 ** -rng.randint(0, 20) for _ in range(n)]
+        vector = SingletonVector(frame, values)
+        assert vector.sum_over(frame.full_set).hex() == vector.total.hex()
+        for _ in range(50):
+            bits = rng.randrange(1, 1 << n)
+            want = math.fsum(v for i, v in enumerate(values) if bits >> i & 1)
+            assert vector.sum_over(FocalSet(frame, bits)).hex() == want.hex()

@@ -143,6 +143,13 @@ class TestParseBba:
             parse_bba_document(text)
         assert type(err.value) is error
 
+    def test_first_unknown_label_in_input_order_after_an_empty_set(self):
+        records = [EMPTY, {"elements": ["a", "yy"], "mass": 0.25}, UNKNOWN]
+        text = json.dumps({"frame": ["a", "b"], "masses": records})
+        with pytest.raises(UnknownLabelError, match="^bba document: label 'yy' not in frame") as err:
+            parse_bba_document(text)
+        assert type(err.value) is UnknownLabelError
+
     def test_huge_integer_mass(self):
         text = '{"frame": ["a"], "masses": [{"elements": ["a"], "mass": 1%s}]}' % ("0" * 400)
         with pytest.raises(MassOutOfRangeError):
