@@ -16,6 +16,12 @@ code=0; err=$(pignistic decide --input "$tmp/missing.json" --thresholds tests/da
 test "$code" -eq 1
 echo "$err" | grep -F "error: cannot read"
 if echo "$err" | grep -F Traceback; then exit 1; fi
+# a malformed mass record: the field it lacks, exit 1, never a traceback
+printf '%s' '{"frame": ["a"], "masses": [{"elements": ["a"]}]}' > "$tmp/no_mass.json"
+code=0; err=$(pignistic decide --input "$tmp/no_mass.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
+test "$code" -eq 1
+echo "$err" | grep -F "error: masses[0]: missing field 'mass'"
+if echo "$err" | grep -F Traceback; then exit 1; fi
 code=0; pignistic transform --method prscp --input tests/data/combat_id.json --tolerance 1e-15 --max-iter 3 || code=$?
 test "$code" -eq 2
 pignistic compare --input tests/data/combat_id.json --format record

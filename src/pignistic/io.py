@@ -39,8 +39,9 @@ def _load_json(text: str) -> Any:
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
-#: ``kind`` for a field that holds a number.
+#: ``kind`` for a field that holds a number, and for one that holds a label.
 _NUMBER = (int, float)
+_STRING = (str,)
 
 
 def _require(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> Any:
@@ -58,19 +59,17 @@ def _require(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> 
     return value
 
 
-def _numbers(doc: dict, key: str, where: str) -> list:
-    """``doc[key]``, which must be a list of numbers, bools excluded."""
+def _list_of(doc: dict, key: str, kind: tuple[type, ...], where: str) -> list:
+    """``doc[key]``, a list of ``kind``: ``_NUMBER`` (bools excluded) or ``_STRING``."""
     values = _require(doc, key, list, where)
-    if not all(type(x) in _NUMBER for x in values):
-        raise ParseError(f"{where}: field {key!r} must be a list of numbers")
+    if not all(type(x) in kind for x in values):
+        what = "numbers" if kind is _NUMBER else "strings"
+        raise ParseError(f"{where}: field {key!r} must be a list of {what}")
     return values
 
 
 def _parse_frame(doc: dict, where: str) -> Frame:
-    labels = _require(doc, "frame", list, where)
-    if not all(isinstance(l, str) for l in labels):
-        raise ParseError(f"{where}: frame labels must be strings")
-    return Frame(labels)
+    return Frame(_list_of(doc, "frame", _STRING, where))
 
 
 def parse_bba_document(text: str) -> MassFunction:
@@ -91,7 +90,8 @@ def _mass_function_from(doc: Any) -> MassFunction:
             return MassFunction.from_labels(frame, _pairs(records))
         except (KeyError, TypeError, MassFunctionError):
             for i, record in enumerate(records):
-                _check_record(record, f"masses[{i}]")
+                _list_of(record, "elements", _STRING, f"masses[{i}]")
+                _require(record, "mass", _NUMBER, f"masses[{i}]")
             for record in sorted(records, key=lambda r: not r["elements"]):
                 frame.subset(record["elements"])  # an unknown label, then the empty set
             raise
@@ -108,15 +108,6 @@ def _pairs(records: list):
         yield elements, record["mass"]
 
 
-def _check_record(record: Any, where: str) -> None:
-    """Raise a ParseError naming what is wrong with the mass record, if it is malformed."""
-    elements = _require(record, "elements", list, where)
-    if not all(isinstance(l, str) for l in elements):
-        raise ParseError(f"{where}: elements must be strings")
-    if type(record.get("mass")) not in _NUMBER:
-        raise ParseError(f"{where}: field 'mass' must be a number")
-
-
 def serialize_mass_function(m: MassFunction) -> str:
     doc = {
         "frame": list(m.frame.labels),
@@ -130,11 +121,10 @@ def serialize_mass_function(m: MassFunction) -> str:
 
 def parse_threshold_document(text: str) -> ThresholdSet:
     doc = _load_json(text)
-    bel = _numbers(doc, "bel", "threshold document")
-    pl = _numbers(doc, "pl", "threshold document")
-    profile = doc.get("profile_name", "")
-    if not isinstance(profile, str):
-        raise ParseError("threshold document: 'profile_name' must be a string")
+    where = "threshold document"
+    bel = _list_of(doc, "bel", _NUMBER, where)
+    pl = _list_of(doc, "pl", _NUMBER, where)
+    profile = _require(doc, "profile_name", str, where) if "profile_name" in doc else ""
     return ThresholdSet(tuple(bel), tuple(pl), profile)
 
 
@@ -156,7 +146,8 @@ def parse_distribution_document(text: str) -> ProbabilityDistribution:
 
 def _distribution_from(doc: Any) -> ProbabilityDistribution:
     frame = _parse_frame(doc, "distribution document")
-    return ProbabilityDistribution(frame, _numbers(doc, "probabilities", "distribution document"))
+    probs = _list_of(doc, "probabilities", _NUMBER, "distribution document")
+    return ProbabilityDistribution(frame, probs)
 
 
 def parse_bba_or_distribution(text: str) -> MassFunction | ProbabilityDistribution:
@@ -244,19 +235,17 @@ def parse_report_record(text: str) -> DecisionReport:
     doc = _load_json(text)
     where = "report record"
     frame = _parse_frame(doc, where)
-    probs = _numbers(doc, "probabilities", where)
+    probs = _list_of(doc, "probabilities", _NUMBER, where)
     method = TransformKind(_require(doc, "method", str, where))
     report = DecisionReport(
         method=method,
         distribution=ProbabilityDistribution(frame, probs),
         pic=PicScore(_require(doc, "pic", _NUMBER, where)),
         decision_threshold=_require(doc, "decision_threshold", _NUMBER, where),
-        selected=tuple(_require(doc, "selected", list, where)),
+        selected=tuple(_list_of(doc, "selected", _STRING, where)),
         epsilon=_require(doc, "epsilon", _NUMBER, where) if "epsilon" in doc else None,
         iterations=_require(doc, "iterations", int, where) if "iterations" in doc else None,
     )
-    if not all(isinstance(label, str) for label in report.selected):
-        raise ParseError(f"{where}: field 'selected' must be a list of strings")
     # decision_set also range-checks the threshold
     if list(report.selected) != decision_set(report.distribution, report.decision_threshold):
         raise ValidationError(f"{where}: 'selected' is not the labels above 'decision_threshold'")

@@ -143,6 +143,27 @@ class TestParseBba:
             parse_bba_document(text)
         assert type(err.value) is error
 
+    # Every field is checked by one rule, and its message says which field
+    # and what it must hold.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"frame": ["a"], "masses": [{"elements": ["a"]}]},
+             "masses[0]: missing field 'mass'"),
+            ({"frame": ["a"], "masses": [{"elements": ["a"], "mass": "0.5"}]},
+             "masses[0]: field 'mass' must be number, got str"),
+            ({"frame": ["a"], "masses": [{"elements": ["a", 1], "mass": 1.0}]},
+             "masses[0]: field 'elements' must be a list of strings"),
+            ({"frame": ["a", 1], "masses": [{"elements": ["a"], "mass": 1.0}]},
+             "bba document: field 'frame' must be a list of strings"),
+        ],
+        ids=["missing-mass", "string-mass", "non-string-element", "non-string-frame-label"],
+    )
+    def test_field_message(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            parse_bba_document(json.dumps(doc))
+        assert str(err.value) == message
+
     def test_first_unknown_label_in_input_order_after_an_empty_set(self):
         records = [EMPTY, {"elements": ["a", "yy"], "mass": 0.25}, UNKNOWN]
         text = json.dumps({"frame": ["a", "b"], "masses": records})
@@ -196,6 +217,12 @@ class TestParseThresholds:
             parse_threshold_document(
                 (data_dir / "invalid" / "thresholds_missing_pl.json").read_text()
             )
+
+    def test_profile_name_must_be_a_string(self):
+        text = json.dumps({"profile_name": 5, "bel": [0.3, 0.5, 0.7], "pl": [1.2, 1.5, 1.8]})
+        with pytest.raises(ParseError) as err:
+            parse_threshold_document(text)
+        assert str(err.value) == "threshold document: field 'profile_name' must be str, got int"
 
     def test_round_trip(self, data_dir):
         t = parse_threshold_document(
@@ -277,6 +304,13 @@ class TestRenderReport:
             record[field] = value
         with pytest.raises(ParseError, match=field):
             parse_report_record(json.dumps(record))
+
+    def test_selected_must_be_a_list_of_strings(self, combat_bba):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
+        record["selected"] = [1]
+        with pytest.raises(ParseError) as err:
+            parse_report_record(json.dumps(record))
+        assert str(err.value) == "report record: field 'selected' must be a list of strings"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -19,6 +19,7 @@ from pignistic import (
     MassFunction,
     ProbabilityDistribution,
     SolverConfig,
+    pr_bl,
     pr_sc_p,
     prscp_residual,
 )
@@ -100,6 +101,26 @@ def test_labels_prbl_sends_to_zero_stay_zero():
     assert result.distribution.probabilities.tolist() == pytest.approx(
         [0.5, 0.0, 0.5], abs=1e-12
     )
+    assert gap_of(m, result.distribution) <= GAP_BOUND
+
+
+# Rank-deficient incidences: a and b lie in the same focal sets, so their
+# incidence columns are equal and L has a ridge of maximisers.
+
+def test_point_prbl_already_certifies_is_returned_unmoved():
+    m = MassFunction.from_labels(Frame(["a", "b", "c"]), [(["a", "b"], 0.6), (["c"], 0.4)])
+    result = pr_sc_p(m)
+    answer = result.distribution.probabilities.tolist()
+    assert answer == pr_bl(m).distribution.probabilities.tolist() == [0.3, 0.3, 0.4]
+    assert result.iterations == 1
+
+
+def test_labels_no_focal_set_separates_keep_an_equal_split():
+    m = MassFunction.from_labels(
+        Frame(["a", "b", "c"]), [(["a", "b"], 0.3), (["a", "b", "c"], 0.3), (["c"], 0.4)]
+    )
+    result = pr_sc_p(m)
+    assert result.distribution["a"] == result.distribution["b"] == 0.21428571428571425
     assert gap_of(m, result.distribution) <= GAP_BOUND
 
 
