@@ -26,6 +26,17 @@ code=0; pignistic transform --method prscp --input tests/data/combat_id.json --t
 test "$code" -eq 2
 pignistic compare --input tests/data/combat_id.json --format record
 pignistic pic --input tests/data/combat_id.json --method prbl
+# pic also takes a distribution document
+printf '%s' '{"frame": ["a","b"], "probabilities": [0.5, 0.5]}' > "$tmp/dist.json"
+out=$(pignistic pic --input "$tmp/dist.json")
+test "$out" = "0.000000"
+# a missing --input is a usage error in every subcommand: exit 1, never a traceback
+for cmd in "transform --method betp" pic "decide --thresholds tests/data/thresholds_standard.json --risk 0.0455" compare; do
+  code=0; err=$(pignistic $cmd 2>&1 >/dev/null) || code=$?
+  test "$code" -eq 1
+  echo "$err" | grep -F -- "--input"
+  if echo "$err" | grep -F Traceback; then exit 1; fi
+done
 # output that cannot be written: one error line and exit 1, never a traceback
 err=$( { pignistic compare --input tests/data/combat_id.json --format record | true; } 2>&1 ) || true
 if echo "$err" | grep -F Traceback; then exit 1; fi

@@ -36,66 +36,45 @@ EXIT_INVALID_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tolerance", type=float, default=SolverConfig.tolerance,
-        help="max-norm step threshold for the self-consistent solver",
-    )
-    parser.add_argument(
-        "--max-iter", type=int, default=SolverConfig.max_iterations,
-        help="iteration budget for the self-consistent solver",
-    )
-
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=[HUMAN, MACHINE], default=HUMAN,
-        help="table for humans, record (JSON) for machines",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True, type=Path,
+                        help="BBA document; pic also takes a distribution document")
+    shared.add_argument("--tolerance", type=float, default=SolverConfig.tolerance,
+                        help="max-norm step threshold for the self-consistent solver")
+    shared.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+                        help="iteration budget for the self-consistent solver")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=[HUMAN, MACHINE], default=HUMAN,
+                     help="table for humans, record (JSON) for machines")
+
     parser = argparse.ArgumentParser(
         prog="pignistic",
         description="Pignistic probability transforms and risk-threshold decisions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tr = sub.add_parser("transform", help="apply one transform to a BBA file")
+    p_tr = sub.add_parser("transform", parents=[shared, fmt],
+                          help="apply one transform to a BBA file")
     p_tr.add_argument("--method", required=True, choices=_METHODS)
-    p_tr.add_argument("--input", required=True, type=Path, help="BBA document")
     p_tr.add_argument("--risk", type=float, default=0.0,
                       help="decision threshold annotated on the output")
-    _add_solver_flags(p_tr)
-    _add_format_flag(p_tr)
 
-    p_pic = sub.add_parser(
-        "pic", help="information content of a distribution or transformed BBA"
-    )
-    p_pic.add_argument("--input", required=True, type=Path,
-                       help="distribution document, or BBA document with --method")
+    p_pic = sub.add_parser("pic", parents=[shared],
+                           help="information content of a distribution or transformed BBA")
     p_pic.add_argument("--method", choices=_METHODS, default="betp",
                        help="transform applied first when the input is a BBA")
-    _add_solver_flags(p_pic)
 
-    p_dec = sub.add_parser(
-        "decide", help="select a transform by information maturity and decide"
-    )
-    p_dec.add_argument("--input", required=True, type=Path, help="BBA document")
+    p_dec = sub.add_parser("decide", parents=[shared, fmt],
+                           help="select a transform by information maturity and decide")
     p_dec.add_argument("--thresholds", required=True, type=Path,
                        help="threshold profile document")
     p_dec.add_argument("--risk", required=True, type=float,
                        help="decision threshold on singleton probabilities")
-    _add_solver_flags(p_dec)
-    _add_format_flag(p_dec)
 
-    p_cmp = sub.add_parser(
-        "compare", help="all five transforms side by side with PIC and decision sets"
-    )
-    p_cmp.add_argument("--input", required=True, type=Path, help="BBA document")
+    p_cmp = sub.add_parser("compare", parents=[shared, fmt],
+                           help="all five transforms side by side with PIC and decision sets")
     p_cmp.add_argument("--risk", type=float, default=0.0)
-    _add_solver_flags(p_cmp)
-    _add_format_flag(p_cmp)
 
     return parser
 

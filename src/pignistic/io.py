@@ -10,11 +10,12 @@ so downstream pipelines never compound rounding.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Sequence
 
 from .decision import DecisionReport, ThresholdSet, decision_set
 from .errors import MassFunctionError, ParseError, ValidationError
-from .frame import Frame, MassFunction
+from .frame import Frame, MassFunction, _check_same_frame
 from .metrics import PicScore
 from .transforms import ProbabilityDistribution, TransformKind
 
@@ -68,10 +69,6 @@ def _list_of(doc: dict, key: str, kind: tuple[type, ...], where: str) -> list:
     return values
 
 
-def _parse_frame(doc: dict, where: str) -> Frame:
-    return Frame(_list_of(doc, "frame", _STRING, where))
-
-
 def parse_bba_document(text: str) -> MassFunction:
     """Parse a BBA document into a validated mass function.
 
@@ -83,7 +80,7 @@ def parse_bba_document(text: str) -> MassFunction:
 def _mass_function_from(doc: Any) -> MassFunction:
     """One walk over the records builds the mass function; only if it fails are they walked
     again, to rank the errors: a malformed record, an unknown label, the empty set, the rest."""
-    frame = _parse_frame(doc, "bba document")
+    frame = Frame(_list_of(doc, "frame", _STRING, "bba document"))
     records = _require(doc, "masses", list, "bba document")
     try:
         try:
@@ -145,7 +142,7 @@ def parse_distribution_document(text: str) -> ProbabilityDistribution:
 
 
 def _distribution_from(doc: Any) -> ProbabilityDistribution:
-    frame = _parse_frame(doc, "distribution document")
+    frame = Frame(_list_of(doc, "frame", _STRING, "distribution document"))
     probs = _list_of(doc, "probabilities", _NUMBER, "distribution document")
     return ProbabilityDistribution(frame, probs)
 
@@ -203,11 +200,15 @@ def render_report(report: DecisionReport, fmt: str = HUMAN) -> str:
 
 def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> str:
     """Side-by-side table of several transforms over the same frame."""
+    if not reports:
+        raise ValidationError("a comparison needs at least one report")
+    frame = reports[0].distribution.frame
+    for r in reports:
+        _check_same_frame(frame, r.distribution.frame)
     if fmt == MACHINE:
         return json.dumps([_report_record(r) for r in reports])
     if fmt != HUMAN:
         raise ValidationError(f"unknown format {fmt!r}")
-    frame = reports[0].distribution.frame
     label_width = max(len("hypothesis"), *(len(l) for l in frame.labels))
     col = 10
     header = f"{'hypothesis':<{label_width}}" + "".join(
@@ -234,7 +235,7 @@ def parse_report_record(text: str) -> DecisionReport:
     """Inverse of the machine format; round-trips distributions bit-exactly."""
     doc = _load_json(text)
     where = "report record"
-    frame = _parse_frame(doc, where)
+    frame = Frame(_list_of(doc, "frame", _STRING, where))
     probs = _list_of(doc, "probabilities", _NUMBER, where)
     method = TransformKind(_require(doc, "method", str, where))
     report = DecisionReport(
@@ -249,6 +250,13 @@ def parse_report_record(text: str) -> DecisionReport:
     # decision_set also range-checks the threshold
     if list(report.selected) != decision_set(report.distribution, report.decision_threshold):
         raise ValidationError(f"{where}: 'selected' is not the labels above 'decision_threshold'")
+    # the diagnostics the program writes: a finite epsilon on PraPl, iterations on PrScP
+    if report.epsilon is not None and not (
+        method is TransformKind.PRA_PL and math.isfinite(report.epsilon)
+    ):
+        raise ValidationError(f"{where}: 'epsilon' must be finite and only on a PraPl record")
+    if report.iterations is not None and method is not TransformKind.PR_SC_P:
+        raise ValidationError(f"{where}: 'iterations' belongs only on a PrScP record")
     if report.iterations is not None and report.iterations < 1:
         raise ValidationError(f"{where}: 'iterations' must be at least 1, got {report.iterations}")
     return report

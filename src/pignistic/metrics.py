@@ -56,5 +56,6 @@ def kl_divergence(p: ProbabilityDistribution, q: ProbabilityDistribution) -> flo
             raise UnsupportedDivergenceError(
                 "p has mass where q has none; divergence is infinite"
             )
-        terms.append(pi * math.log(pi / qi))
+        ratio = pi / qi  # overflows to inf only where q_i is subnormal
+        terms.append(pi * (math.log(ratio) if ratio < math.inf else math.log(pi) - math.log(qi)))
     return max(0.0, math.fsum(terms))

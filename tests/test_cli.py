@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import pignistic
 from pignistic import TransformKind, apply_transform, evaluate, pic, report_for
-from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from pignistic.cli import EXIT_INVALID_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from pignistic.io import (
     parse_bba_document,
     parse_threshold_document,
@@ -119,6 +120,52 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["decide", "--help"]) == EXIT_OK
         assert "--risk" in capsys.readouterr().out
+
+
+# dest: (required, default, type, choices)
+METHODS = ["betp", "prapl", "prbl", "prpl", "prscp"]
+SHARED = {
+    "input": (True, None, Path, None),
+    "tolerance": (False, 1e-12, float, None),
+    "max_iter": (False, 1000, int, None),
+}
+FORMAT = {"format": (False, "table", None, ["table", "record"])}
+OPTIONS = {
+    "transform": {
+        **SHARED, **FORMAT,
+        "method": (True, None, None, METHODS),
+        "risk": (False, 0.0, float, None),
+    },
+    "pic": {**SHARED, "method": (False, "betp", None, METHODS)},
+    "decide": {
+        **SHARED, **FORMAT,
+        "thresholds": (True, None, Path, None),
+        "risk": (True, None, float, None),
+    },
+    "compare": {**SHARED, **FORMAT, "risk": (False, 0.0, float, None)},
+}
+
+
+class TestOptions:
+    """Every subcommand's options, as the parser declares them."""
+
+    def test_options_table(self):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert commands.choices.keys() == OPTIONS.keys()
+        for name, sub in commands.choices.items():
+            declared = {
+                a.dest: (a.required, a.default, a.type, a.choices)
+                for a in sub._actions if a.dest != "help"
+            }
+            assert declared == OPTIONS[name], name
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_exits_zero_for_every_command(self, capsys, command):
+        assert main([command, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert all(f"--{dest.replace('_', '-')}" in out for dest in OPTIONS[command])
 
 
 class TestPicCommand:

@@ -6,6 +6,7 @@ import pytest
 from pignistic import (
     DuplicateFocalSetError,
     EmptySetMassError,
+    FrameMismatchError,
     MassOutOfRangeError,
     MassSumMismatchError,
     ParseError,
@@ -333,6 +334,35 @@ class TestRenderReport:
         with pytest.raises(PignisticError):
             parse_report_record(json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (TransformKind.BET_P, "epsilon", "-5"),
+            (TransformKind.PR_SC_P, "epsilon", "0.25"),
+            (TransformKind.PRA_PL, "epsilon", "1e999"),
+            (TransformKind.PRA_PL, "epsilon", "-1e999"),
+            (TransformKind.BET_P, "iterations", "7"),
+            (TransformKind.PRA_PL, "iterations", "3"),
+        ],
+    )
+    def test_diagnostic_the_program_never_writes(self, combat_bba, kind, field, value):
+        record = json.loads(render_report(report_for(combat_bba, kind, 0.0455), MACHINE))
+        record[field] = "VALUE"  # spliced in as text: json.dumps cannot write 1e999
+        text = json.dumps(record).replace('"VALUE"', value)
+        with pytest.raises(ValidationError, match=f"report record: '{field}'"):
+            parse_report_record(text)
+
+    def test_negative_epsilon_within_the_sum_tolerance_round_trips(self):
+        # masses summing to 1 + 5e-10 give SumBel > 1, so PraPl's epsilon is just below 0
+        m = parse_bba_document(
+            '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5},'
+            ' {"elements": ["b"], "mass": 0.5000000005}]}'
+        )
+        report = report_for(m, TransformKind.PRA_PL, 0.0)
+        assert -1e-9 < report.epsilon < 0.0
+        again = parse_report_record(render_report(report, MACHINE))
+        assert again.epsilon == report.epsilon
+
 
 class TestRenderComparison:
     def test_contains_all_values(self, combat_bba):
@@ -352,6 +382,33 @@ class TestRenderComparison:
         reports = [report_for(combat_bba, k, 0.0455) for k in TransformKind]
         parsed = json.loads(render_comparison(reports, MACHINE))
         assert [r["method"] for r in parsed] == [k.value for k in TransformKind]
+
+    @staticmethod
+    def betp_report(labels):
+        m = parse_bba_document(json.dumps(
+            {"frame": labels, "masses": [{"elements": labels, "mass": 1.0}]}
+        ))
+        return report_for(m, TransformKind.BET_P, 0.0)
+
+    @pytest.mark.parametrize("fmt", [HUMAN, MACHINE])
+    @pytest.mark.parametrize(
+        "second", [["x", "y"], ["a", "b", "c"]], ids=["other-labels", "one-more-label"]
+    )
+    def test_reports_over_another_frame_are_rejected(self, fmt, second):
+        reports = [self.betp_report(["a", "b"]), self.betp_report(second)]
+        with pytest.raises(FrameMismatchError, match="frames differ"):
+            render_comparison(reports, fmt)
+
+    @pytest.mark.parametrize("fmt", [HUMAN, MACHINE])
+    def test_no_reports_is_rejected(self, fmt):
+        with pytest.raises(ValidationError):
+            render_comparison([], fmt)
+
+    def test_equal_frames_built_apart_are_accepted(self):
+        reports = [self.betp_report(["a", "b"]), self.betp_report(["a", "b"])]
+        assert render_comparison(reports, HUMAN).splitlines()[1:3] == [
+            "a           0.500000  0.500000", "b           0.500000  0.500000",
+        ]
 
 
 def expected_record(report):

@@ -103,6 +103,22 @@ class TestKlDivergence:
         expected = 0.7 * math.log(0.7 / 0.4)
         assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
 
+    def test_ratio_that_overflows_is_a_difference_of_logs(self):
+        # 0.5 / 5e-324 overflows to inf, but the divergence is finite
+        p = dist("ab", [0.5, 0.5])
+        q = dist("ab", [1.0, 5e-324])
+        expected = math.fsum(
+            pi * (math.log(pi) - math.log(qi)) for pi, qi in [(0.5, 1.0), (0.5, 5e-324)]
+        )
+        assert kl_divergence(p, q) == expected == 371.5268887801307
+
+    def test_finite_ratios_keep_the_log_of_the_ratio(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+            expected = max(0.0, math.fsum(a * math.log(a / b) for a, b in zip(p, q)))
+            assert kl_divergence(dist("abcd", p), dist("abcd", q)) == expected
+
 
 class TestPicKlIdentity:
     def test_combat_betp(self, combat_bba):
