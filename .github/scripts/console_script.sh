@@ -22,6 +22,12 @@ code=0; err=$(pignistic decide --input "$tmp/no_mass.json" --thresholds tests/da
 test "$code" -eq 1
 echo "$err" | grep -F "error: masses[0]: missing field 'mass'"
 if echo "$err" | grep -F Traceback; then exit 1; fi
+# a repeated focal set before an out-of-range mass: the first bad record wins, exit 1
+printf '%s' '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, {"elements": ["b"], "mass": 2.0}]}' > "$tmp/twice.json"
+code=0; err=$(pignistic decide --input "$tmp/twice.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
+test "$code" -eq 1
+echo "$err" | grep -F "bba document: focal set ('a',) assigned more than once"
+if echo "$err" | grep -F Traceback; then exit 1; fi
 code=0; pignistic transform --method prscp --input tests/data/combat_id.json --tolerance 1e-15 --max-iter 3 || code=$?
 test "$code" -eq 2
 pignistic compare --input tests/data/combat_id.json --format record

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -212,11 +211,12 @@ class SingletonVector:
 class MassFunction:
     """A validated basic belief assignment over a frame.
 
-    Masses are attached to nonempty subsets only (closed world), each lies
-    in [0, 1], and they sum to one within ``MASS_SUM_TOLERANCE``. Inputs
-    violating any of this, NaN and infinities included, are rejected;
-    nothing is silently renormalized. Zero-mass entries are accepted and
-    dropped.
+    Masses sit on nonempty subsets only (closed world), each in [0, 1], and
+    sum to one within ``MASS_SUM_TOLERANCE``; nothing is renormalized, and
+    zero masses are dropped. Both constructors walk the pairs once and raise
+    for the first bad pair in input order, NaN and infinities included (its
+    focal set is checked before its mass), then for the sum. ``io`` puts a
+    document's malformed records, unknown labels and empty sets ahead of that.
 
     The focal sets with positive mass are kept once, in insertion order, as
     two aligned read-only arrays: ``bits`` (uint64 bitmasks) and ``masses``.
@@ -231,9 +231,10 @@ class MassFunction:
     """
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
-        for subset in assignments:
+        def mask(subset: FocalSet) -> int:
             _check_same_frame(frame, subset.frame)
-        self._store(frame, assignments.items(), attrgetter("bits"))
+            return subset.bits
+        self._store(frame, assignments.items(), mask)
 
     @classmethod
     def from_labels(
@@ -241,20 +242,23 @@ class MassFunction:
         frame: Frame,
         assignments: Iterable[tuple[Iterable[str], float]],
     ) -> MassFunction:
-        """Build from (subset labels, mass) pairs; unlisted subsets get mass 0.
-        The first bad pair in input order raises."""
+        """Build from (subset labels, mass) pairs; unlisted subsets get mass 0."""
         m = cls.__new__(cls)
         m._store(frame, assignments, frame._mask)
         return m
 
     def _store(self, frame: Frame, assignments: Iterable, mask: Callable[..., int]) -> None:
-        """Walk the pairs once, checking each and masking its members, then build every table."""
-        bits, kept, values, sizes, compound, singles = [], [], [], [], [], [0.0] * frame.size
+        """Walk the pairs once, masking and checking each in full, then build every table."""
+        seen, kept, values, sizes, compound, singles = set(), [], [], [], [], [0.0] * frame.size
         for members, mass in assignments:
             b = mask(members)
             if not b:
                 raise EmptySetMassError("the empty set is not a valid focal set")
-            bits.append(b)
+            if b in seen:
+                raise DuplicateFocalSetError(
+                    f"focal set {FocalSet(frame, b).labels} assigned more than once"
+                )
+            seen.add(b)
             if not (_is_real(mass) and 0.0 <= mass <= 1.0):  # NaN fails this as well
                 raise MassOutOfRangeError(
                     f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"
@@ -268,11 +272,6 @@ class MassFunction:
                 if size == 1:
                     singles[b.bit_length() - 1] = mass
                 compound.append(mass if size > 1 else 0.0)
-        if len(set(bits)) != len(bits):
-            twice = next(b for i, b in enumerate(bits) if b in bits[:i])
-            raise DuplicateFocalSetError(
-                f"focal set {FocalSet(frame, twice).labels} assigned more than once"
-            )
         total = math.fsum(values)
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise MassSumMismatchError(

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 from .decision import DecisionReport, ThresholdSet, decision_set
 from .errors import MassFunctionError, ParseError, ValidationError
 from .frame import Frame, MassFunction, _check_same_frame
-from .metrics import PicScore
+from .metrics import PicScore, pic
 from .transforms import ProbabilityDistribution, TransformKind
 
 
@@ -250,13 +250,13 @@ def parse_report_record(text: str) -> DecisionReport:
     # decision_set also range-checks the threshold
     if list(report.selected) != decision_set(report.distribution, report.decision_threshold):
         raise ValidationError(f"{where}: 'selected' is not the labels above 'decision_threshold'")
-    # the diagnostics the program writes: a finite epsilon on PraPl, iterations on PrScP
-    if report.epsilon is not None and not (
-        method is TransformKind.PRA_PL and math.isfinite(report.epsilon)
-    ):
-        raise ValidationError(f"{where}: 'epsilon' must be finite and only on a PraPl record")
-    if report.iterations is not None and method is not TransformKind.PR_SC_P:
-        raise ValidationError(f"{where}: 'iterations' belongs only on a PrScP record")
-    if report.iterations is not None and report.iterations < 1:
-        raise ValidationError(f"{where}: 'iterations' must be at least 1, got {report.iterations}")
+    # within 1e-12: libm's log may differ in its last bit between hosts
+    if not math.isclose(report.pic.value, pic(report.distribution).value, rel_tol=0, abs_tol=1e-12):
+        raise ValidationError(f"{where}: 'pic' is not the PIC of 'probabilities'")
+    # the diagnostics the program writes, each present exactly on its method
+    pra_pl, pr_sc_p = method is TransformKind.PRA_PL, method is TransformKind.PR_SC_P
+    if (report.epsilon is not None) != pra_pl or (pra_pl and not math.isfinite(report.epsilon)):
+        raise ValidationError(f"{where}: 'epsilon' must be finite on PraPl, absent elsewhere")
+    if (report.iterations is not None) != pr_sc_p or (pr_sc_p and report.iterations < 1):
+        raise ValidationError(f"{where}: 'iterations' must be >= 1 on PrScP, absent elsewhere")
     return report

@@ -176,6 +176,19 @@ class TestMassFunctionValidation:
             MassFunction(frame, {frame.subset(["a"]): first, frame.subset(["b"]): second})
 
 
+    def test_duplicate_before_a_later_bad_mass(self):
+        with pytest.raises(DuplicateFocalSetError) as err:
+            MassFunction.from_labels(Frame(["a", "b"]), [(["a"], 0.5), (["a"], 0.5), (["b"], 2.0)])
+        assert type(err.value) is DuplicateFocalSetError
+        assert str(err.value) == "focal set ('a',) assigned more than once"
+
+    def test_bad_mass_before_a_later_frame_mismatch(self):
+        f, g = Frame(["a", "b"]), Frame(["c", "d"])
+        with pytest.raises(MassOutOfRangeError) as err:
+            MassFunction(f, {f.subset(["a"]): 2.0, g.subset(["c"]): 0.5})
+        assert type(err.value) is MassOutOfRangeError
+        assert str(err.value) == "mass 2.0 on ('a',) is not a number in [0, 1]"
+
 class TestBeliefPlausibility:
     def test_combat_singletons(self, combat_frame, combat_bba):
         assert combat_bba.belief(combat_frame.singleton("F")) == pytest.approx(

@@ -165,6 +165,14 @@ class TestParseBba:
             parse_bba_document(json.dumps(doc))
         assert str(err.value) == message
 
+    def test_duplicate_before_a_later_bad_mass(self):
+        records = [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, BAD_MASS]
+        text = json.dumps({"frame": ["a", "b"], "masses": records})
+        with pytest.raises(DuplicateFocalSetError) as err:
+            parse_bba_document(text)
+        assert type(err.value) is DuplicateFocalSetError
+        assert str(err.value) == "bba document: focal set ('a',) assigned more than once"
+
     def test_first_unknown_label_in_input_order_after_an_empty_set(self):
         records = [EMPTY, {"elements": ["a", "yy"], "mass": 0.25}, UNKNOWN]
         text = json.dumps({"frame": ["a", "b"], "masses": records})
@@ -351,6 +359,26 @@ class TestRenderReport:
         text = json.dumps(record).replace('"VALUE"', value)
         with pytest.raises(ValidationError, match=f"report record: '{field}'"):
             parse_report_record(text)
+
+    # Each diagnostic is present exactly on its method: absent on its own, it is refused.
+    @pytest.mark.parametrize(
+        "kind, field", [(TransformKind.PRA_PL, "epsilon"), (TransformKind.PR_SC_P, "iterations")]
+    )
+    def test_missing_diagnostic(self, combat_bba, kind, field):
+        record = json.loads(render_report(report_for(combat_bba, kind, 0.0455), MACHINE))
+        del record[field]
+        with pytest.raises(ValidationError, match=f"^report record: '{field}'"):
+            parse_report_record(json.dumps(record))
+
+    def test_pic_of_other_probabilities(self):
+        record = {
+            "method": "PraPl", "frame": ["a", "b"], "probabilities": [0.5, 0.5], "pic": 0.7,
+            "decision_threshold": 0.0, "selected": ["a", "b"], "epsilon": 0.0,
+        }
+        assert parse_report_record(json.dumps({**record, "pic": 0.0})).pic.value == 0.0
+        with pytest.raises(ValidationError) as err:
+            parse_report_record(json.dumps(record))
+        assert str(err.value) == "report record: 'pic' is not the PIC of 'probabilities'"
 
     def test_negative_epsilon_within_the_sum_tolerance_round_trips(self):
         # masses summing to 1 + 5e-10 give SumBel > 1, so PraPl's epsilon is just below 0
