@@ -22,6 +22,12 @@ code=0; err=$(pignistic decide --input "$tmp/no_mass.json" --thresholds tests/da
 test "$code" -eq 1
 echo "$err" | grep -F "error: masses[0]: missing field 'mass'"
 if echo "$err" | grep -F Traceback; then exit 1; fi
+# elements given as an object, not a list: the record's field error, exit 1, never a traceback
+printf '%s' '{"frame": ["a"], "masses": [{"elements": {"a": 1}, "mass": 1.0}]}' > "$tmp/object_elements.json"
+code=0; err=$(pignistic decide --input "$tmp/object_elements.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
+test "$code" -eq 1
+echo "$err" | grep -F "error: masses[0]: field 'elements' must be list, got dict"
+if echo "$err" | grep -F Traceback; then exit 1; fi
 # a repeated focal set before an out-of-range mass: the first bad record wins, exit 1
 printf '%s' '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, {"elements": ["b"], "mass": 2.0}]}' > "$tmp/twice.json"
 code=0; err=$(pignistic decide --input "$tmp/twice.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?

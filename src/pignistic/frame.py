@@ -79,15 +79,19 @@ class Frame:
         return self._mask((label,)).bit_length() - 1
 
     def _mask(self, members: Iterable[str]) -> int:
-        """Bitmask of ``members``; a label listed twice counts once."""
-        if isinstance(members, str):  # it would iterate as its characters
-            raise ValidationError(f"expected a collection of labels, not the string {members!r}")
+        """Bitmask of ``members``, an iterable of hashable labels but not a string or a dict (they
+        would iterate as their characters and their keys); a label listed twice counts once."""
+        if isinstance(members, (str, dict)):
+            kind = "string" if isinstance(members, str) else "mapping"
+            raise ValidationError(f"expected a collection of labels, not the {kind} {members!r}")
         bit_of, b = self._bits, 0
         try:
             for label in members:
                 b |= bit_of[label]
         except KeyError:
             raise UnknownLabelError(f"label {label!r} not in frame {self.labels}") from None
+        except TypeError:  # not iterable, or a label that cannot be hashed
+            raise ValidationError(f"expected a collection of labels, got {members!r}") from None
         return b
 
     def subset(self, members: Iterable[str]) -> FocalSet:
@@ -111,6 +115,8 @@ class FocalSet:
     bits: int
 
     def __post_init__(self):
+        if not isinstance(self.bits, int) or isinstance(self.bits, bool):
+            raise ValidationError(f"bits must be an int, got {type(self.bits).__name__}")
         if self.bits == 0:
             raise EmptySetMassError("the empty set is not a valid focal set")
         if self.bits >> self.frame.size:
@@ -232,6 +238,8 @@ class MassFunction:
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
         def mask(subset: FocalSet) -> int:
+            if not isinstance(subset, FocalSet):
+                raise ValidationError(f"expected a FocalSet key, got {type(subset).__name__}")
             _check_same_frame(frame, subset.frame)
             return subset.bits
         self._store(frame, assignments.items(), mask)

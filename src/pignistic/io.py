@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from sys import float_info
 from typing import Any, Sequence
 
 from .decision import DecisionReport, ThresholdSet, decision_set
@@ -78,14 +79,15 @@ def parse_bba_document(text: str) -> MassFunction:
 
 
 def _mass_function_from(doc: Any) -> MassFunction:
-    """One walk over the records builds the mass function; only if it fails are they walked
-    again, to rank the errors: a malformed record, an unknown label, the empty set, the rest."""
+    """One walk over the records builds the mass function, ``from_labels`` checking each
+    record's elements and mass; only if it fails are they walked again, to rank the errors:
+    a malformed record, an unknown label, the empty set, the rest."""
     frame = Frame(_list_of(doc, "frame", _STRING, "bba document"))
     records = _require(doc, "masses", list, "bba document")
     try:
         try:
-            return MassFunction.from_labels(frame, _pairs(records))
-        except (KeyError, TypeError, MassFunctionError):
+            return MassFunction.from_labels(frame, ((r["elements"], r["mass"]) for r in records))
+        except (KeyError, TypeError, ValidationError, MassFunctionError):
             for i, record in enumerate(records):
                 _list_of(record, "elements", _STRING, f"masses[{i}]")
                 _require(record, "mass", _NUMBER, f"masses[{i}]")
@@ -94,15 +96,6 @@ def _mass_function_from(doc: Any) -> MassFunction:
             raise
     except MassFunctionError as exc:
         raise type(exc)(f"bba document: {exc}") from exc
-
-
-def _pairs(records: list):
-    """Each record's (elements, mass); elements must be a list: a dict passes as its keys."""
-    for record in records:
-        elements = record["elements"]
-        if type(elements) is not list:
-            raise TypeError
-        yield elements, record["mass"]
 
 
 def serialize_mass_function(m: MassFunction) -> str:
@@ -209,26 +202,17 @@ def render_comparison(reports: Sequence[DecisionReport], fmt: str = HUMAN) -> st
         return json.dumps([_report_record(r) for r in reports])
     if fmt != HUMAN:
         raise ValidationError(f"unknown format {fmt!r}")
-    label_width = max(len("hypothesis"), *(len(l) for l in frame.labels))
-    col = 10
-    header = f"{'hypothesis':<{label_width}}" + "".join(
-        f"{r.method.value:>{col}}" for r in reports
+    names = ["hypothesis", *frame.labels, "PIC", "selected"]
+    columns = [
+        [r.method.value, *(f"{p:.6f}" for p in r.distribution._tuple), f"{r.pic.value:.6f}",
+         str(len(r.selected))]
+        for r in reports
+    ]
+    width = max(map(len, names))
+    return "\n".join(
+        f"{name:<{width}}" + "".join(f"{cell:>10}" for cell in cells)
+        for name, *cells in zip(names, *columns)
     )
-    lines = [header]
-    for i, label in enumerate(frame.labels):
-        row = f"{label:<{label_width}}" + "".join(
-            f"{r.distribution._tuple[i]:>{col}.6f}" for r in reports
-        )
-        lines.append(row)
-    lines.append(
-        f"{'PIC':<{label_width}}"
-        + "".join(f"{r.pic.value:>{col}.6f}" for r in reports)
-    )
-    lines.append(
-        f"{'selected':<{label_width}}"
-        + "".join(f"{len(r.selected):>{col}d}" for r in reports)
-    )
-    return "\n".join(lines)
 
 
 def parse_report_record(text: str) -> DecisionReport:
@@ -255,7 +239,7 @@ def parse_report_record(text: str) -> DecisionReport:
         raise ValidationError(f"{where}: 'pic' is not the PIC of 'probabilities'")
     # the diagnostics the program writes, each present exactly on its method
     pra_pl, pr_sc_p = method is TransformKind.PRA_PL, method is TransformKind.PR_SC_P
-    if (report.epsilon is not None) != pra_pl or (pra_pl and not math.isfinite(report.epsilon)):
+    if (report.epsilon is not None) != pra_pl or (pra_pl and not abs(report.epsilon) <= float_info.max):
         raise ValidationError(f"{where}: 'epsilon' must be finite on PraPl, absent elsewhere")
     if (report.iterations is not None) != pr_sc_p or (pr_sc_p and report.iterations < 1):
         raise ValidationError(f"{where}: 'iterations' must be >= 1 on PrScP, absent elsewhere")

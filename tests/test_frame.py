@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -101,6 +102,11 @@ class TestFocalSet:
         frame = Frame(["a", "b", "c"])
         assert frame.full_set.labels == ("a", "b", "c")
 
+    @pytest.mark.parametrize("bits", [1.5, True, "1", None])
+    def test_bits_must_be_an_int(self, bits):
+        with pytest.raises(ValidationError, match=f"^bits must be an int, got {type(bits).__name__}$"):
+            FocalSet(Frame(["a", "b"]), bits)
+
 
 class TestMassFunctionValidation:
     def test_combat_bba_valid(self, combat_bba):
@@ -188,6 +194,29 @@ class TestMassFunctionValidation:
             MassFunction(f, {f.subset(["a"]): 2.0, g.subset(["c"]): 0.5})
         assert type(err.value) is MassOutOfRangeError
         assert str(err.value) == "mass 2.0 on ('a',) is not a number in [0, 1]"
+
+    # a dict would iterate as its keys, as a string would as its characters
+    def test_mapping_is_not_a_collection_of_labels(self):
+        frame = Frame(["a", "b"])
+        with pytest.raises(ValidationError, match=r"not the mapping \{'a': 1\}"):
+            frame.subset({"a": 1})
+        with pytest.raises(ValidationError, match=r"not the mapping \{'a': 1\}"):
+            MassFunction.from_labels(frame, [({"a": 1}, 1.0)])
+
+    @pytest.mark.parametrize("members", [None, 5, [["a"]], [{"a": 1}]], ids=repr)
+    def test_members_that_are_not_a_collection_of_hashable_labels(self, members):
+        frame = Frame(["a", "b"])
+        message = f"^expected a collection of labels, got {re.escape(repr(members))}$"
+        with pytest.raises(ValidationError, match=message):
+            frame.subset(members)
+        with pytest.raises(ValidationError, match=message):
+            MassFunction.from_labels(frame, [(members, 1.0)])
+
+    @pytest.mark.parametrize("key", [("a",), "a", 1])
+    def test_mapping_key_that_is_not_a_focal_set(self, key):
+        with pytest.raises(ValidationError, match=f"^expected a FocalSet key, got {type(key).__name__}$"):
+            MassFunction(Frame(["a", "b"]), {key: 1.0})
+
 
 class TestBeliefPlausibility:
     def test_combat_singletons(self, combat_frame, combat_bba):

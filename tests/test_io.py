@@ -180,6 +180,14 @@ class TestParseBba:
             parse_bba_document(text)
         assert type(err.value) is UnknownLabelError
 
+    def test_object_elements(self):
+        # from_labels refuses the mapping; the second walk words the record
+        text = json.dumps({"frame": ["a", "b"], "masses": [{"elements": {"a": 1}, "mass": 1.0}]})
+        with pytest.raises(ParseError) as err:
+            parse_bba_document(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == "masses[0]: field 'elements' must be list, got dict"
+
     def test_huge_integer_mass(self):
         text = '{"frame": ["a"], "masses": [{"elements": ["a"], "mass": 1%s}]}' % ("0" * 400)
         with pytest.raises(MassOutOfRangeError):
@@ -380,6 +388,13 @@ class TestRenderReport:
             parse_report_record(json.dumps(record))
         assert str(err.value) == "report record: 'pic' is not the PIC of 'probabilities'"
 
+    def test_integer_epsilon_too_large_for_a_float(self, combat_bba):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.PRA_PL, 0.0455), MACHINE))
+        record["epsilon"] = 10**400
+        with pytest.raises(ValidationError) as err:
+            parse_report_record(json.dumps(record))
+        assert str(err.value) == "report record: 'epsilon' must be finite on PraPl, absent elsewhere"
+
     def test_negative_epsilon_within_the_sum_tolerance_round_trips(self):
         # masses summing to 1 + 5e-10 give SumBel > 1, so PraPl's epsilon is just below 0
         m = parse_bba_document(
@@ -405,6 +420,34 @@ class TestRenderComparison:
         ]
         for value in expected:
             assert value in text
+
+    # every line of the table: each row is its name left-aligned to the widest
+    # name, then one cell per report right-aligned in 10
+    def test_combat_table(self, combat_bba):
+        reports = [report_for(combat_bba, k, 0.0455) for k in TransformKind]
+        assert render_comparison(reports, HUMAN).splitlines() == [
+            "hypothesis      BetP     PraPl      PrPl      PrBl     PrScP",
+            "F           0.398333  0.402129  0.454418  0.517592  0.542030",
+            "N           0.343333  0.352277  0.360880  0.405098  0.386953",
+            "U           0.153333  0.139356  0.117638  0.030288  0.032397",
+            "H           0.105000  0.106238  0.067064  0.047022  0.038620",
+            "PIC         0.092643  0.100695  0.163811  0.309962  0.324722",
+            "selected           4         4         4         3         2",
+        ]
+
+    def test_label_longer_than_hypothesis_widens_the_name_column(self):
+        long = "longer than hypothesis"
+        m = parse_bba_document(json.dumps({"frame": ["a", long], "masses": [
+            {"elements": ["a"], "mass": 0.25}, {"elements": ["a", long], "mass": 0.75},
+        ]}))
+        reports = [report_for(m, k, 0.3) for k in (TransformKind.BET_P, TransformKind.PR_PL)]
+        assert render_comparison(reports, HUMAN).splitlines() == [
+            "hypothesis                  BetP      PrPl",
+            "a                       0.625000  0.678571",
+            "longer than hypothesis  0.375000  0.321429",
+            "PIC                     0.045566  0.094072",
+            "selected                       2         2",
+        ]
 
     def test_machine_format_is_json(self, combat_bba):
         reports = [report_for(combat_bba, k, 0.0455) for k in TransformKind]
