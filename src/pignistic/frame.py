@@ -76,7 +76,12 @@ class Frame:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self._mask((label,)).bit_length() - 1
+        try:
+            return self._bits[label].bit_length() - 1
+        except TypeError:  # named as given, not as the collection (label,)
+            raise ValidationError(f"expected a label, got {label!r}") from None
+        except KeyError:
+            return self._mask((label,))  # raises UnknownLabelError
 
     def _mask(self, members: Iterable[str]) -> int:
         """Bitmask of ``members``, an iterable of hashable labels but not a string or a dict (they
@@ -99,7 +104,7 @@ class Frame:
         return FocalSet(self, self._mask(members))
 
     def singleton(self, label: str) -> FocalSet:
-        return self.subset((label,))
+        return FocalSet(self, 1 << self.index(label))
 
     @property
     def full_set(self) -> FocalSet:
@@ -133,7 +138,7 @@ class FocalSet:
         )
 
     def __contains__(self, label: str) -> bool:
-        return self.bits & self.frame._mask((label,)) != 0
+        return self.bits >> self.frame.index(label) & 1 == 1
 
     def issubset(self, other: FocalSet) -> bool:
         _check_same_frame(self.frame, other.frame)
@@ -225,15 +230,17 @@ class MassFunction:
     document's malformed records, unknown labels and empty sets ahead of that.
 
     The focal sets with positive mass are kept once, in insertion order, as
-    two aligned read-only arrays: ``bits`` (uint64 bitmasks) and ``masses``.
-    Construction also builds the k x n ``incidence`` matrix, the
-    cardinalities, the compound part of the masses and the singleton Belief
-    and Plausibility arrays, all read-only, and the sums of the last two, so
-    the object is immutable and safe to share between threads. The singleton
-    accessors wrap a copy of an array in a new ``SingletonVector`` per call.
-    The first product casts ``incidence`` to floats once and keeps the copy
-    (8 bytes a cell); two threads may both cast, but each stores an equal
-    read-only array, so every reader gets the same values.
+    two aligned read-only arrays, the walk's only state: ``bits`` (uint64
+    bitmasks) and ``masses``. The other tables are read off the k x n
+    ``incidence`` matrix F: ``cardinality`` (its row sums), ``compound_masses``
+    (the masses where the cardinality exceeds 1, else 0), singleton Bel
+    ``(masses - compound_masses) @ F`` (exact under any BLAS kernel: one
+    nonzero term per label), Pl ``masses @ F`` and the ``fsum`` of each. All
+    are read-only, so the object is immutable and safe to share between
+    threads. The singleton accessors wrap a copy of an array in a new
+    ``SingletonVector`` per call. The first product casts ``incidence`` to
+    floats again and keeps that copy (8 bytes a cell); two threads may both
+    cast, but each stores an equal read-only array.
     """
 
     def __init__(self, frame: Frame, assignments: Mapping[FocalSet, float]):
@@ -242,6 +249,8 @@ class MassFunction:
                 raise ValidationError(f"expected a FocalSet key, got {type(subset).__name__}")
             _check_same_frame(frame, subset.frame)
             return subset.bits
+        if not isinstance(assignments, Mapping):
+            raise ValidationError(f"expected a mapping, got {assignments!r}")
         self._store(frame, assignments.items(), mask)
 
     @classmethod
@@ -257,8 +266,16 @@ class MassFunction:
 
     def _store(self, frame: Frame, assignments: Iterable, mask: Callable[..., int]) -> None:
         """Walk the pairs once, masking and checking each in full, then build every table."""
-        seen, kept, values, sizes, compound, singles = set(), [], [], [], [], [0.0] * frame.size
-        for members, mass in assignments:
+        try:
+            pairs = iter(assignments)
+        except TypeError:
+            raise ValidationError(f"expected (labels, mass) pairs, got {assignments!r}") from None
+        seen, kept, values = set(), [], []
+        for pair in pairs:
+            try:
+                members, mass = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"expected a (labels, mass) pair, got {pair!r}") from None
             b = mask(members)
             if not b:
                 raise EmptySetMassError("the empty set is not a valid focal set")
@@ -272,14 +289,8 @@ class MassFunction:
                     f"mass {mass!r} on {FocalSet(frame, b).labels} is not a number in [0, 1]"
                 )
             if mass > 0.0:
-                mass = float(mass)
-                size = b.bit_count()
                 kept.append(b)
-                values.append(mass)
-                sizes.append(size)
-                if size == 1:
-                    singles[b.bit_length() - 1] = mass
-                compound.append(mass if size > 1 else 0.0)
+                values.append(float(mass))
         total = math.fsum(values)
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise MassSumMismatchError(
@@ -288,20 +299,18 @@ class MassFunction:
         self.frame = frame
         # little-endian whatever the host, so the byte view below lists bit 0 first
         self.bits = _read_only(np.array(kept, dtype="<u8"))
-        #: The masses, the number of members of each focal set (as floats) and
-        #: the masses with the singleton rows zeroed: the mass the transforms split.
-        self.masses, self.cardinality, self.compound_masses = _read_only(
-            np.array((values, sizes, compound))
-        )
+        self.masses = masses = _read_only(np.array(values))
         octets = self.bits.view(np.uint8).reshape(-1, 8)
         rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
         #: k x n boolean matrix: row r marks the members of focal set r.
         self.incidence = _read_only(rows.view(bool))
         self._float_incidence = None  # see _floats
-        # singleton Bel (the singleton masses) and Pl, and their exactly rounded sums
-        self._bel = _read_only(np.array(singles))
-        self._pl = _read_only(self.masses @ self.incidence)
-        self._sum_bel, self._sum_pl = math.fsum(singles), math.fsum(self._pl.tolist())
+        F = rows.astype(float)  # construction's own float copy
+        self.cardinality = _read_only(F.sum(1))
+        self.compound_masses = _read_only(masses * (self.cardinality > 1.0))
+        self._bel = _read_only((masses - self.compound_masses) @ F)
+        self._pl = _read_only(masses @ F)
+        self._sum_bel, self._sum_pl = math.fsum(self._bel.tolist()), math.fsum(self._pl.tolist())
 
     def _floats(self) -> np.ndarray:
         """``incidence`` as read-only floats, cast on the first call and kept."""

@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pignistic import (
@@ -140,6 +140,45 @@ def test_full_frame_top_bit_round_trips():
     betp = bet_p(m).distribution
     assert betp["h63"] == math.fsum([0.25, 0.125, 0.5 / 64])
     assert betp["h1"] == 0.5 / 64
+
+
+@st.composite
+def bitmask_pairs(draw):
+    """A frame size n and distinct (bitmask, mass) pairs summing to one, singletons
+    drawn often; some masses are 0."""
+    n = draw(st.integers(1, 64))
+    focal_set = st.integers(0, n - 1).map(lambda i: 1 << i) | st.integers(1, (1 << n) - 1)
+    bits = draw(st.lists(focal_set, min_size=1, max_size=min((1 << n) - 1, 40), unique=True))
+    weights = draw(
+        st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=len(bits), max_size=len(bits))
+    )
+    weights[-1] = 1.0
+    total = math.fsum(weights)
+    return n, [(b, w / total) for b, w in zip(bits, weights)]
+
+
+@given(bitmask_pairs())
+@example((3, [(0b001, 5e-324), (0b010, 0.5), (0b101, 0.5)]))  # a subnormal singleton mass
+@example((3, [(0b011, 0.5), (0b110, 0.5)]))  # no singleton
+@example((64, [(1 << 63, 5e-324), (0b1, 0.0), ((1 << 64) - 1, 1.0)]))
+@settings(max_examples=150, deadline=None)
+def test_derived_tables_match_the_bitmasks_bit_for_bit(case):
+    n, pairs = case
+    frame = Frame([f"h{i}" for i in range(n)])
+    kept = [(b, mass) for b, mass in pairs if mass > 0.0]
+    singles = [0.0] * n
+    for b, mass in kept:
+        if b.bit_count() == 1:
+            singles[b.bit_length() - 1] = mass
+    compound = [0.0 if b.bit_count() == 1 else mass for b, mass in kept]
+    for m in (
+        MassFunction(frame, {FocalSet(frame, b): mass for b, mass in pairs}),
+        MassFunction.from_labels(frame, [(FocalSet(frame, b).labels, mass) for b, mass in pairs]),
+    ):
+        assert m.cardinality.tolist() == [float(b.bit_count()) for b, _ in kept]
+        assert m.compound_masses.tobytes() == np.array(compound).tobytes()
+        assert m.singleton_beliefs().values.tobytes() == np.array(singles).tobytes()
+        assert m.sum_bel().hex() == math.fsum(singles).hex()
 
 
 def test_compound_only_prbl_is_equal_split():

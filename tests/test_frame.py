@@ -217,6 +217,63 @@ class TestMassFunctionValidation:
         with pytest.raises(ValidationError, match=f"^expected a FocalSet key, got {type(key).__name__}$"):
             MassFunction(Frame(["a", "b"]), {key: 1.0})
 
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ([(["a"],)], "expected a (labels, mass) pair, got (['a'],)"),
+            ([(["a"], 1.0, 2)], "expected a (labels, mass) pair, got (['a'], 1.0, 2)"),
+            ([5], "expected a (labels, mass) pair, got 5"),
+            (5, "expected (labels, mass) pairs, got 5"),
+            (None, "expected (labels, mass) pairs, got None"),
+        ],
+    )
+    def test_assignments_that_are_not_labels_and_mass_pairs(self, assignments, message):
+        with pytest.raises(ValidationError) as err:
+            MassFunction.from_labels(Frame(["a", "b"]), assignments)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+
+    def test_malformed_pair_raises_at_its_place_in_the_walk(self):
+        frame = Frame(["a", "b"])
+        with pytest.raises(MassOutOfRangeError):
+            MassFunction.from_labels(frame, [(["a"], 2.0), (["b"],)])
+        with pytest.raises(ValidationError, match=r"^expected a \(labels, mass\) pair, got \(\['b'\],\)$"):
+            MassFunction.from_labels(frame, [(["b"],), (["a"], 2.0)])
+
+    def test_assignments_that_are_not_a_mapping(self):
+        frame = Frame(["a", "b"])
+        pairs = [(frame.subset(["a"]), 1.0)]
+        with pytest.raises(ValidationError) as err:
+            MassFunction(frame, pairs)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"expected a mapping, got {pairs!r}"
+
+
+class TestSingleLabelLookups:
+    """A label that cannot be hashed is named as given; an unknown one keeps its message."""
+
+    LOOKUPS = {
+        "index": lambda frame, label: frame.index(label),
+        "singleton": lambda frame, label: frame.singleton(label),
+        "in": lambda frame, label: label in frame.full_set,
+        "distribution": lambda frame, label: ProbabilityDistribution(frame, [0.5, 0.5])[label],
+    }
+
+    @pytest.mark.parametrize("lookup", LOOKUPS)
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}, {"a"}], ids=repr)
+    def test_unhashable_label(self, lookup, label):
+        with pytest.raises(ValidationError) as err:
+            self.LOOKUPS[lookup](Frame(["a", "b"]), label)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"expected a label, got {label!r}"
+
+    @pytest.mark.parametrize("lookup", LOOKUPS)
+    @pytest.mark.parametrize("label", ["x", 5, ("a",)], ids=repr)
+    def test_unknown_label(self, lookup, label):
+        with pytest.raises(UnknownLabelError) as err:
+            self.LOOKUPS[lookup](Frame(["a", "b"]), label)
+        assert str(err.value) == f"label {label!r} not in frame ('a', 'b')"
+
 
 class TestBeliefPlausibility:
     def test_combat_singletons(self, combat_frame, combat_bba):
