@@ -4,65 +4,60 @@
 set -eo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+combat=(--input tests/data/combat_id.json)
+standard=(--thresholds tests/data/thresholds_standard.json --risk 0.0455)
 
-pignistic decide --input tests/data/combat_id.json --thresholds tests/data/thresholds_standard.json --risk 0.0455
-code=0; pignistic decide --input tests/data/combat_id.json --thresholds tests/data/thresholds_standard.json --risk abc || code=$?
-test "$code" -eq 1
-code=0; err=$(pignistic decide --input tests/data/invalid/unknown_label.json --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "bba document: label 'c' not in frame"
-# input that cannot be read: one error line and exit 1, never a traceback
-code=0; err=$(pignistic decide --input "$tmp/missing.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: cannot read"
-if echo "$err" | grep -F Traceback; then exit 1; fi
-# a malformed mass record: the field it lacks, exit 1, never a traceback
-printf '%s' '{"frame": ["a"], "masses": [{"elements": ["a"]}]}' > "$tmp/no_mass.json"
-code=0; err=$(pignistic decide --input "$tmp/no_mass.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: masses[0]: missing field 'mass'"
-if echo "$err" | grep -F Traceback; then exit 1; fi
-# elements given as an object, not a list: the record's field error, exit 1, never a traceback
-printf '%s' '{"frame": ["a"], "masses": [{"elements": {"a": 1}, "mass": 1.0}]}' > "$tmp/object_elements.json"
-code=0; err=$(pignistic decide --input "$tmp/object_elements.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: masses[0]: field 'elements' must be list, got dict"
-if echo "$err" | grep -F Traceback; then exit 1; fi
-# a repeated focal set before an out-of-range mass: the first bad record wins, exit 1
-printf '%s' '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, {"elements": ["b"], "mass": 2.0}]}' > "$tmp/twice.json"
-code=0; err=$(pignistic decide --input "$tmp/twice.json" --thresholds tests/data/thresholds_standard.json --risk 0.0455 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "bba document: focal set ('a',) assigned more than once"
-if echo "$err" | grep -F Traceback; then exit 1; fi
-code=0; pignistic transform --method prscp --input tests/data/combat_id.json --tolerance 1e-15 --max-iter 3 || code=$?
-test "$code" -eq 2
-pignistic compare --input tests/data/combat_id.json --format record
-pignistic pic --input tests/data/combat_id.json --method prbl
-# pic also takes a distribution document
+# fails CODE MESSAGE ARGS...: `pignistic ARGS` exits CODE, writes MESSAGE to
+# standard error and no traceback. Standard output goes to $out (/dev/null).
+# It exits itself: set -e skips a failed test in a && list or a condition.
+fails() {
+  local want=$1 message=$2 code=0 err
+  shift 2
+  err=$(pignistic "$@" 2>&1 >"${out:-/dev/null}") || code=$?
+  if [[ $code != "$want" || $err != *"$message"* || $err == *Traceback* ]]; then
+    printf 'pignistic %s: exit %s, want %s, "%s" and no traceback; stderr:\n%s\n' "$*" "$code" "$want" "$message" "$err" >&2
+    exit 1
+  fi
+}
+
+# answers
+pignistic decide "${combat[@]}" "${standard[@]}"
+pignistic compare "${combat[@]}" --format record
+pignistic pic "${combat[@]}" --method prbl
 printf '%s' '{"frame": ["a","b"], "probabilities": [0.5, 0.5]}' > "$tmp/dist.json"
-out=$(pignistic pic --input "$tmp/dist.json")
-test "$out" = "0.000000"
-# a missing --input is a usage error in every subcommand: exit 1, never a traceback
-for cmd in "transform --method betp" pic "decide --thresholds tests/data/thresholds_standard.json --risk 0.0455" compare; do
-  code=0; err=$(pignistic $cmd 2>&1 >/dev/null) || code=$?
-  test "$code" -eq 1
-  echo "$err" | grep -F -- "--input"
-  if echo "$err" | grep -F Traceback; then exit 1; fi
+test "$(pignistic pic --input "$tmp/dist.json")" = "0.000000"  # pic also takes a distribution
+
+# no convergence, a usage error, and input that cannot be read
+fails 2 "error: no certified fixed point" transform --method prscp "${combat[@]}" --tolerance 1e-15 --max-iter 3
+fails 1 "error: argument --risk: invalid float value: 'abc'" decide "${combat[@]}" --thresholds tests/data/thresholds_standard.json --risk abc
+fails 1 "error: cannot read" decide --input "$tmp/missing.json" "${standard[@]}"
+for cmd in "transform --method betp" pic "decide ${standard[*]}" compare; do
+  fails 1 "error: the following arguments are required: --input" $cmd
 done
-# output that cannot be written: one error line and exit 1, never a traceback
-err=$( { pignistic compare --input tests/data/combat_id.json --format record | true; } 2>&1 ) || true
-if echo "$err" | grep -F Traceback; then exit 1; fi
-code=0; err=$(pignistic compare --input tests/data/combat_id.json --format record 2>&1 >/dev/full) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: cannot write output"
-code=0; err=$(pignistic compare --input tests/data/combat_id.json --format record 2>&1 >&-) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: cannot write output"
-if echo "$err" | grep -F Traceback; then exit 1; fi
-# output that standard output's encoding cannot represent: a table exits 1, a record 0
+
+# the invalid-document catalogue, and malformed records: the first bad one is named
+for doc in tests/data/invalid/*.json; do
+  case ${doc##*/} in
+    thresholds_*) fails 1 "error: " decide "${combat[@]}" --thresholds "$doc" --risk 0.0455 ;;
+    *) fails 1 "error: " decide --input "$doc" "${standard[@]}" ;;
+  esac
+done
+printf '%s' '{"frame": ["a"], "masses": [{"elements": ["a"]}]}' > "$tmp/no_mass.json"
+fails 1 "error: masses[0]: missing field 'mass'" decide --input "$tmp/no_mass.json" "${standard[@]}"
+printf '%s' '{"frame": ["a"], "masses": [{"elements": {"a": 1}, "mass": 1.0}]}' > "$tmp/object_elements.json"
+fails 1 "error: masses[0]: field 'elements' must be list, got dict" decide --input "$tmp/object_elements.json" "${standard[@]}"
+printf '%s' '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, {"elements": ["b"], "mass": 2.0}]}' > "$tmp/twice.json"
+fails 1 "error: bba document: focal set ('a',) assigned more than once" decide --input "$tmp/twice.json" "${standard[@]}"
+
+# output that cannot be written: a full device, an encoding without the label,
+# a pipe whose reader has gone and a closed standard output; a record is ASCII
+out=/dev/full fails 1 "error: cannot write output" compare "${combat[@]}" --format record
 printf '%s' '{"frame": ["\u00e9t\u00e9", "b"], "masses": [{"elements": ["\u00e9t\u00e9"], "mass": 1.0}]}' > "$tmp/ete.json"
-code=0; err=$(PYTHONIOENCODING=ascii pignistic compare --input "$tmp/ete.json" 2>&1 >/dev/null) || code=$?
-test "$code" -eq 1
-echo "$err" | grep -F "error: cannot write output"
-if echo "$err" | grep -F Traceback; then exit 1; fi
+PYTHONIOENCODING=ascii fails 1 "error: cannot write output" compare --input "$tmp/ete.json"
 PYTHONIOENCODING=ascii pignistic compare --input "$tmp/ete.json" --format record
+exec 3> >(:)
+wait $!  # the reader has exited, so every write to descriptor 3 fails
+for fd in 3 -; do
+  code=0; err=$(pignistic compare "${combat[@]}" --format record 2>&1 >&"$fd") || code=$?
+  [[ $code == 1 && $err == *"error: cannot write output"* && $err != *Traceback* ]] || { printf 'compare >&%s: exit %s; stderr:\n%s\n' "$fd" "$code" "$err" >&2; exit 1; }
+done

@@ -94,14 +94,19 @@ def evaluate(
 
 def report_for(
     m: MassFunction,
-    kind: TransformKind,
+    kind: TransformKind | str,
     decision_threshold: float,
     solver: SolverConfig = SolverConfig(),
 ) -> DecisionReport:
-    """Build a DecisionReport for an explicitly chosen transform; the
-    threshold is checked before the transform runs."""
+    """Build a DecisionReport for a ``TransformKind`` or its name in any
+    case; the threshold is checked before the kind and the transform."""
     _check_threshold(decision_threshold)
-    result = TRANSFORMS[kind](m, solver)
+    try:
+        transform = TRANSFORMS[kind]
+    except (KeyError, TypeError):  # a member is one dict hit; anything else is resolved or refused
+        kind = TransformKind(kind)
+        transform = TRANSFORMS[kind]
+    result = transform(m, solver)
     return DecisionReport(
         method=kind,
         distribution=result.distribution,

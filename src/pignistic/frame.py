@@ -164,7 +164,7 @@ class SingletonVector:
 
     frame: Frame
     values: np.ndarray = field(compare=False)
-    _tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _tuple: tuple[float, ...] = field(init=False, repr=False, hash=False)
     _noun = "values"  # what the error messages call the values
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
@@ -202,11 +202,6 @@ class SingletonVector:
 
     def __getitem__(self, label: str) -> float:
         return self._tuple[self.frame.index(label)]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.frame == other.frame and np.array_equal(self.values, other.values)
 
     def sum_over(self, subset: FocalSet) -> float:
         """Sum of the values over the singletons of ``subset``, rounded once (``math.fsum``)."""

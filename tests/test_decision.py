@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -87,6 +88,10 @@ class TestSelectTransform:
     def test_third_rule(self):
         assert select_transform(0.4, 1.7, STANDARD) == TransformKind.PR_PL
 
+    def test_sum_bel_on_bel3_is_not_above_it(self):
+        # the strict > at bel3: a tie falls through to the next rule
+        assert select_transform(0.7, 1.1, STANDARD) == TransformKind.PR_BL
+
     def test_prapl_never_selected(self):
         for sum_bel in [x / 20 for x in range(21)]:
             for sum_pl in [1 + x / 10 for x in range(21)]:
@@ -151,10 +156,33 @@ class TestEvaluate:
         assert list(report.distribution.probabilities) == [0.25] * 4
         assert report.pic.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_sum_bel_on_bel1_selects_betp(self):
+        # m{a} = 0.3 has SumBel exactly 0.3: the strict > at bel1 leaves BetP
+        m = make_mass_function(Frame(["a", "b"]), [(["a"], 0.3), (["a", "b"], 0.7)])
+        assert (m.sum_bel(), m.sum_pl()) == (0.3, 1.7)
+        assert evaluate(m, STANDARD, 0.1).method == TransformKind.BET_P
+
     def test_report_self_consistent(self, combat_bba):
         report = evaluate(combat_bba, STANDARD, 0.0455, SolverConfig())
         recomputed = decision_set(report.distribution, report.decision_threshold)
         assert tuple(recomputed) == report.selected
+
+
+class TestReportFor:
+    @pytest.mark.parametrize("name", ["BetP", "betp", "BETP"])
+    def test_takes_a_transform_name_in_any_case(self, combat_bba, name):
+        by_name = report_for(combat_bba, name, 0.0455)
+        assert by_name == report_for(combat_bba, TransformKind.BET_P, 0.0455)
+        assert by_name.method is TransformKind.BET_P
+
+    @pytest.mark.parametrize("kind", ["nope", ["x"], None, 3], ids=["name", "list", "None", "int"])
+    def test_unknown_kind_raises_validation_error(self, combat_bba, kind):
+        with pytest.raises(ValidationError, match=re.escape(f"unknown transform {kind!r}")):
+            report_for(combat_bba, kind, 0.0455)
+
+    def test_threshold_is_checked_before_the_kind(self, combat_bba):
+        with pytest.raises(ValidationError, match="threshold must lie in"):
+            report_for(combat_bba, ["x"], 2.0)
 
 
 class TestThresholdSetFinite:

@@ -122,6 +122,12 @@ class TestMassFunctionValidation:
         with pytest.raises(MassSumMismatchError):
             make_mass_function(frame, [(["a"], 0.6), (["b"], 0.6)])
 
+    def test_sum_off_by_5e_9_is_refused(self):
+        # between the 1e-9 tolerance and 1e-8
+        frame = Frame(["a", "b"])
+        with pytest.raises(MassSumMismatchError):
+            make_mass_function(frame, [(["a"], 0.5), (["b"], 0.5 + 5e-9)])
+
     def test_mass_out_of_range(self):
         frame = Frame(["a", "b"])
         with pytest.raises(MassOutOfRangeError):
@@ -377,6 +383,14 @@ class TestSingletonVectors:
         assert SingletonVector(frame, [1, 2]) != SingletonVector(frame, [3, 4])
         assert SingletonVector(frame, [1, 2]) == SingletonVector(frame, [1.0, 2.0])
         assert hash(SingletonVector(frame, [1, 2])) == hash(SingletonVector(frame, [3, 4]))
+
+    def test_equality_ignores_the_sign_of_zero_and_needs_the_same_class_and_frame(self):
+        frame = Frame(["a", "b"])
+        vector = SingletonVector(frame, [-0.0, 1.0])
+        assert vector == SingletonVector(frame, [0.0, 1.0])
+        assert vector != ProbabilityDistribution(frame, [0.0, 1.0])
+        assert vector != SingletonVector(Frame(["a", "c"]), [0.0, 1.0])
+        assert vector.__eq__((0.0, 1.0)) is NotImplemented
 
 
 def assert_tuple_is_values(vector):
