@@ -101,12 +101,8 @@ def report_for(
     """Build a DecisionReport for a ``TransformKind`` or its name in any
     case; the threshold is checked before the kind and the transform."""
     _check_threshold(decision_threshold)
-    try:
-        transform = TRANSFORMS[kind]
-    except (KeyError, TypeError):  # a member is one dict hit; anything else is resolved or refused
-        kind = TransformKind(kind)
-        transform = TRANSFORMS[kind]
-    result = transform(m, solver)
+    kind = TransformKind(kind)
+    result = TRANSFORMS[kind](m, solver)
     return DecisionReport(
         method=kind,
         distribution=result.distribution,
