@@ -9,28 +9,44 @@ automatically and remains available only by explicit request.
 
 from __future__ import annotations
 
+__all__ = [
+    "DecisionReport",
+    "ThresholdSet",
+    "decision_set",
+    "evaluate",
+    "report_for",
+    "select_transform",
+]
+
 from dataclasses import dataclass
 from sys import float_info
 
 from .errors import ValidationError
-from .frame import MassFunction, _is_real
+from .frame import _NOT_COLLECTIONS, MassFunction, _is_real
 from .metrics import PicScore, pic
 from .transforms import TRANSFORMS, ProbabilityDistribution, SolverConfig, TransformKind
 
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Ascending Belief and Plausibility trigger levels for the selector."""
+    """Ascending Belief and Plausibility trigger levels for the selector, kept as tuples."""
 
     bel_thresholds: tuple[float, float, float]
     pl_thresholds: tuple[float, float, float]
     profile_name: str = ""
 
     def __post_init__(self):
-        for name, triple in (
-            ("bel", self.bel_thresholds),
-            ("pl", self.pl_thresholds),
-        ):
+        for name in ("bel", "pl"):
+            given = getattr(self, f"{name}_thresholds")
+            try:
+                if isinstance(given, _NOT_COLLECTIONS):
+                    raise TypeError
+                triple = tuple(given)
+            except TypeError:
+                raise ValidationError(
+                    f"{name} thresholds must be a collection of numbers, got {given!r}"
+                ) from None
+            object.__setattr__(self, f"{name}_thresholds", triple)
             if len(triple) != 3:
                 raise ValidationError(f"{name} thresholds need exactly 3 values")
             if not all(_is_real(x) and -float_info.max <= x <= float_info.max for x in triple):
@@ -39,6 +55,8 @@ class ThresholdSet:
                 raise ValidationError(
                     f"{name} thresholds must be strictly ascending, got {triple}"
                 )
+        if not isinstance(self.profile_name, str):
+            raise ValidationError(f"profile_name must be a string, got {self.profile_name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,22 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "ConvergenceError",
+    "DuplicateFocalSetError",
+    "DuplicateLabelError",
+    "EmptyFrameError",
+    "EmptySetMassError",
+    "FrameMismatchError",
+    "FrameTooLargeError",
+    "MassOutOfRangeError",
+    "MassSumMismatchError",
+    "ParseError",
+    "PignisticError",
+    "UnknownLabelError",
+    "UnsupportedDivergenceError",
+    "ValidationError",
+]
+
 
 class PignisticError(Exception):
     """Base class for all errors raised by this package."""

@@ -11,6 +11,15 @@ threads.
 
 from __future__ import annotations
 
+__all__ = [
+    "FocalSet",
+    "Frame",
+    "MassFunction",
+    "SingletonVector",
+    "make_frame",
+    "make_mass_function",
+]
+
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,6 +52,16 @@ def _is_real(x) -> bool:
     return type(x) is float or isinstance(x, (int, numbers.Real)) and not isinstance(x, bool)
 
 
+#: Never taken as a collection: each iterates as its characters, byte values or keys.
+_NOT_COLLECTIONS = (str, bytes, dict)
+
+
+def _not_labels(given) -> ValidationError:
+    """The error for one of ``_NOT_COLLECTIONS`` given as labels."""
+    kind = "mapping" if isinstance(given, dict) else "string" if isinstance(given, str) else "bytes"
+    return ValidationError(f"expected a collection of labels, not the {kind} {given!r}")
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered frame of discernment."""
@@ -51,7 +70,12 @@ class Frame:
     _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, labels: Iterable[str]):
-        labels = tuple(labels)
+        if isinstance(labels, dict):  # a bare string still iterates as its characters
+            raise _not_labels(labels)
+        try:
+            labels = tuple(labels)
+        except TypeError:
+            raise ValidationError(f"expected a collection of labels, got {labels!r}") from None
         if not labels:
             raise EmptyFrameError("a frame needs at least one label")
         bits: dict[str, int] = {}
@@ -84,11 +108,10 @@ class Frame:
             return self._mask((label,))  # raises UnknownLabelError
 
     def _mask(self, members: Iterable[str]) -> int:
-        """Bitmask of ``members``, an iterable of hashable labels but not a string or a dict (they
-        would iterate as their characters and their keys); a label listed twice counts once."""
-        if isinstance(members, (str, dict)):
-            kind = "string" if isinstance(members, str) else "mapping"
-            raise ValidationError(f"expected a collection of labels, not the {kind} {members!r}")
+        """Bitmask of ``members``, an iterable of hashable labels but not a string, bytes or a
+        dict; a label listed twice counts once."""
+        if isinstance(members, _NOT_COLLECTIONS):
+            raise _not_labels(members)
         bit_of, b = self._bits, 0
         try:
             for label in members:

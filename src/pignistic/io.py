@@ -115,7 +115,7 @@ def parse_threshold_document(text: str) -> ThresholdSet:
     bel = _list_of(doc, "bel", _NUMBER, where)
     pl = _list_of(doc, "pl", _NUMBER, where)
     profile = _require(doc, "profile_name", str, where) if "profile_name" in doc else ""
-    return ThresholdSet(tuple(bel), tuple(pl), profile)
+    return ThresholdSet(bel, pl, profile)
 
 
 def serialize_threshold_set(t: ThresholdSet) -> str:

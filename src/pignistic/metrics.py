@@ -8,6 +8,12 @@ natural; PIC is a ratio of same-base logs, so the base cancels.
 
 from __future__ import annotations
 
+__all__ = [
+    "PicScore",
+    "kl_divergence",
+    "pic",
+]
+
 import math
 from dataclasses import dataclass
 

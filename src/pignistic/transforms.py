@@ -16,6 +16,20 @@ members:
 
 from __future__ import annotations
 
+__all__ = [
+    "ProbabilityDistribution",
+    "SolverConfig",
+    "TransformKind",
+    "TransformResult",
+    "apply_transform",
+    "bet_p",
+    "pr_bl",
+    "pr_pl",
+    "pr_sc_p",
+    "pra_pl",
+    "prscp_residual",
+]
+
 import enum
 import math
 from dataclasses import dataclass

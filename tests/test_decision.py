@@ -20,7 +20,12 @@ from pignistic import (
     report_for,
     select_transform,
 )
-from pignistic.io import render_comparison, render_report
+from pignistic.io import (
+    parse_threshold_document,
+    render_comparison,
+    render_report,
+    serialize_threshold_set,
+)
 
 STANDARD = ThresholdSet((0.3, 0.5, 0.7), (1.2, 1.5, 1.8), "standard")
 
@@ -197,6 +202,44 @@ class TestThresholdSetFinite:
     def test_integer_too_large_for_a_float_rejected(self, big):
         with pytest.raises(ValidationError, match="finite"):
             ThresholdSet(tuple(sorted((0.1, 0.2, big))), (1.2, 1.5, 1.8))
+
+
+class TestThresholdSetTriples:
+    """Each triple is converted once with ``tuple()`` and kept as that tuple."""
+
+    def test_lists_are_kept_as_tuples(self):
+        t = ThresholdSet([0.3, 0.5, 0.7], [1.2, 1.5, 1.8], "standard")
+        assert t.bel_thresholds == (0.3, 0.5, 0.7)
+        assert t.pl_thresholds == (1.2, 1.5, 1.8)
+        assert t == STANDARD
+        assert hash(t) == hash(STANDARD)
+
+    def test_a_generator_is_read_once(self):
+        t = ThresholdSet((x for x in (0.3, 0.5, 0.7)), iter([1.2, 1.5, 1.8]), "standard")
+        assert t == STANDARD
+
+    @pytest.mark.parametrize(
+        "given", [None, 5, {0.3: 0, 0.5: 0, 0.7: 0}, b"\x01\x02\x03", "123"], ids=repr
+    )
+    def test_a_triple_that_is_not_a_collection_of_numbers_is_named(self, given):
+        with pytest.raises(ValidationError) as err:
+            ThresholdSet((0.3, 0.5, 0.7), given)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"pl thresholds must be a collection of numbers, got {given!r}"
+
+    def test_messages_show_the_kept_tuple(self):
+        with pytest.raises(ValidationError) as err:
+            ThresholdSet([0.5, 0.3, 0.7], [1.2, 1.5, 1.8])
+        assert str(err.value) == "bel thresholds must be strictly ascending, got (0.5, 0.3, 0.7)"
+
+    def test_profile_name_must_be_a_string(self):
+        with pytest.raises(ValidationError) as err:
+            ThresholdSet((0.3, 0.5, 0.7), (1.2, 1.5, 1.8), 5)
+        assert str(err.value) == "profile_name must be a string, got 5"
+
+    def test_round_trip_through_a_document(self):
+        t = ThresholdSet([0.1, 0.2, 0.3], [2.1, 2.3, 2.5], "wartime")
+        assert parse_threshold_document(serialize_threshold_set(t)) == t
 
 
 # Each library check that rejects a value, with a value it rejects.

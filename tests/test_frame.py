@@ -68,6 +68,19 @@ class TestFrame:
         with pytest.raises(FrameTooLargeError):
             make_frame([f"h{i}" for i in range(65)])
 
+    def test_mapping_is_not_a_collection_of_labels(self):
+        with pytest.raises(ValidationError) as err:
+            Frame({"a": 1, "b": 2})
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "expected a collection of labels, not the mapping {'a': 1, 'b': 2}"
+
+    @pytest.mark.parametrize("labels", [None, 5], ids=repr)
+    def test_labels_that_are_not_a_collection(self, labels):
+        with pytest.raises(ValidationError) as err:
+            Frame(labels)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"expected a collection of labels, got {labels!r}"
+
 
 class TestFocalSet:
     def test_subset_and_cardinality(self):
@@ -208,6 +221,16 @@ class TestMassFunctionValidation:
             frame.subset({"a": 1})
         with pytest.raises(ValidationError, match=r"not the mapping \{'a': 1\}"):
             MassFunction.from_labels(frame, [({"a": 1}, 1.0)])
+
+    # bytes would iterate as their byte values: b"a" as the label 97
+    def test_bytes_are_not_a_collection_of_labels(self):
+        frame = Frame(["a", "b"])
+        with pytest.raises(ValidationError) as err:
+            MassFunction.from_labels(frame, [(b"a", 1.0)])
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "expected a collection of labels, not the bytes b'a'"
+        with pytest.raises(ValidationError, match=r"^expected a collection of labels, not the bytes b'ab'$"):
+            frame.subset(b"ab")
 
     @pytest.mark.parametrize("members", [None, 5, [["a"]], [{"a": 1}]], ids=repr)
     def test_members_that_are_not_a_collection_of_hashable_labels(self, members):
