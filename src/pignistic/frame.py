@@ -53,7 +53,7 @@ def _is_real(x) -> bool:
 
 
 #: Never taken as a collection: each iterates as its characters, byte values or keys.
-_NOT_COLLECTIONS = (str, bytes, dict)
+_NOT_COLLECTIONS = (str, bytes, bytearray, memoryview, dict)
 
 
 def _not_labels(given) -> ValidationError:
@@ -108,8 +108,8 @@ class Frame:
             return self._mask((label,))  # raises UnknownLabelError
 
     def _mask(self, members: Iterable[str]) -> int:
-        """Bitmask of ``members``, an iterable of hashable labels but not a string, bytes or a
-        dict; a label listed twice counts once."""
+        """Bitmask of ``members``, an iterable of hashable labels but not a string, bytes, a
+        buffer or a dict; a label listed twice counts once."""
         if isinstance(members, _NOT_COLLECTIONS):
             raise _not_labels(members)
         bit_of, b = self._bits, 0
@@ -192,9 +192,9 @@ class SingletonVector:
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
         try:
-            # numpy would turn "1", b"1" and True into 1.0; float64 holds numbers only
+            # numpy turns "1", b"1", True and a buffer's bytes into floats; float64 is numbers only
             floats = type(values) is np.ndarray and values.dtype == float
-            if not (floats or all(map(_is_real, values))):
+            if isinstance(values, _NOT_COLLECTIONS) or not (floats or all(map(_is_real, values))):
                 raise TypeError
             arr = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         except (OverflowError, TypeError, ValueError):  # a non-number, or an int too large

@@ -263,6 +263,15 @@ LIBRARY_CHECKS = {
     "ProbabilityDistribution ragged": lambda r: ProbabilityDistribution(
         Frame(["a", "b"]), [[0.5, 0.5], 0.0]
     ),
+    # a buffer iterates as its byte values
+    "ProbabilityDistribution bytearray": lambda r: ProbabilityDistribution(
+        Frame(["a", "b"]), bytearray(b"\x00\x01")
+    ),
+    "ProbabilityDistribution memoryview": lambda r: ProbabilityDistribution(
+        Frame(["a", "b"]), memoryview(b"\x00\x01")
+    ),
+    "ThresholdSet bytearray": lambda r: ThresholdSet(bytearray(b"\x01\x02\x03"), (4, 5, 6)),
+    "ThresholdSet memoryview": lambda r: ThresholdSet(memoryview(b"\x01\x02\x03"), (4, 5, 6)),
     "ThresholdSet strings": lambda r: ThresholdSet(("a", "b", "c"), (1, 2, 3)),
     "ThresholdSet None": lambda r: ThresholdSet((0.1, 0.2, 0.3), (1.2, None, 1.8)),
     "ThresholdSet bool": lambda r: ThresholdSet((False, True, 2), (1.2, 1.5, 1.8)),

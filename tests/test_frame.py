@@ -232,6 +232,18 @@ class TestMassFunctionValidation:
         with pytest.raises(ValidationError, match=r"^expected a collection of labels, not the bytes b'ab'$"):
             frame.subset(b"ab")
 
+    # a bytearray or a memoryview would iterate as its byte values too
+    @pytest.mark.parametrize("buffer", [bytearray(b"a"), memoryview(b"a")], ids=lambda b: type(b).__name__)
+    def test_buffers_are_not_a_collection_of_labels(self, buffer):
+        frame = Frame(["a"])
+        message = f"^expected a collection of labels, not the bytes {re.escape(repr(buffer))}$"
+        with pytest.raises(ValidationError, match=message) as err:
+            frame.subset(buffer)
+        assert type(err.value) is ValidationError
+        with pytest.raises(ValidationError, match=message) as err:
+            MassFunction.from_labels(frame, [(buffer, 1.0)])
+        assert type(err.value) is ValidationError
+
     @pytest.mark.parametrize("members", [None, 5, [["a"]], [{"a": 1}]], ids=repr)
     def test_members_that_are_not_a_collection_of_hashable_labels(self, members):
         frame = Frame(["a", "b"])
@@ -394,6 +406,22 @@ class TestSingletonVectors:
     def test_integer_too_large_for_a_float_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             SingletonVector(Frame(["a", "b"]), [10**400, 0])
+
+    # a buffer iterates as its byte values, which numpy would take as the numbers 0 and 1
+    @pytest.mark.parametrize("buffer", [bytearray, memoryview])
+    @pytest.mark.parametrize(
+        "cls,noun", [(SingletonVector, "values"), (ProbabilityDistribution, "probabilities")]
+    )
+    def test_buffers_rejected(self, cls, noun, buffer):
+        with pytest.raises(ValidationError, match=f"^{noun} must be finite non-negative numbers$"):
+            cls(Frame(["a", "b"]), buffer(b"\x00\x01"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    def test_numpy_arrays_accepted(self, cls, dtype):
+        vector = cls(Frame(["a", "b"]), np.array([0, 1], dtype=dtype))
+        assert vector.values.dtype == np.float64
+        assert vector.values.tolist() == [0.0, 1.0]
 
     def test_input_array_is_copied(self):
         values = np.array([0.25, 0.5])
