@@ -31,7 +31,8 @@ for cmd in "transform --method betp" pic "decide ${standard[*]}" compare; do
   fails 1 "error: the following arguments are required: --input" $cmd
 done
 
-# the invalid-document catalogue, and malformed records: the first bad one is named
+# the invalid-document catalogue, malformed records (the first bad one is named)
+# and a distribution whose sum overflows
 for doc in tests/data/invalid/*.json; do
   args=(decide --input "$doc" "${standard[@]}")
   case ${doc##*/} in
@@ -55,6 +56,7 @@ done
 fails 1 "error: masses[0]: missing field 'mass'" decide --input <(printf '%s' '{"frame": ["a"], "masses": [{"elements": ["a"]}]}') "${standard[@]}"
 fails 1 "error: masses[0]: field 'elements' must be list, got dict" decide --input <(printf '%s' '{"frame": ["a"], "masses": [{"elements": {"a": 1}, "mass": 1.0}]}') "${standard[@]}"
 fails 1 "error: bba document: focal set ('a',) assigned more than once" decide --input <(printf '%s' '{"frame": ["a", "b"], "masses": [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, {"elements": ["b"], "mass": 2.0}]}') "${standard[@]}"
+fails 1 "error: probabilities must have a finite sum" pic --input <(printf '%s' '{"frame": ["a", "b"], "probabilities": [1e308, 1e308]}')
 
 # output that cannot be written: a full device, an encoding without the label,
 # a pipe whose reader has gone and a closed standard output; a record is ASCII

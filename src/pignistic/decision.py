@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from sys import float_info
 
 from .errors import ValidationError
-from .frame import _NOT_COLLECTIONS, MassFunction, _is_real
+from .frame import _NOT_COLLECTIONS, MassFunction, _is_real, _shown
 from .metrics import PicScore, pic
-from .transforms import TRANSFORMS, ProbabilityDistribution, SolverConfig, TransformKind
+from .transforms import ProbabilityDistribution, SolverConfig, TransformKind, apply_transform
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class ThresholdSet:
                 triple = tuple(given)
             except TypeError:
                 raise ValidationError(
-                    f"{name} thresholds must be a collection of numbers, got {given!r}"
+                    f"{name} thresholds must be a collection of numbers, got {_shown(given)}"
                 ) from None
             object.__setattr__(self, f"{name}_thresholds", triple)
             if len(triple) != 3:
@@ -88,6 +88,8 @@ def select_transform(sum_bel: float, sum_pl: float, t: ThresholdSet) -> Transfor
 
     First matching rule wins; the fall-through default is BetP.
     """
+    if not isinstance(t, ThresholdSet):
+        raise ValidationError(f"expected a ThresholdSet, got {t!r}")
     bel1, bel2, bel3 = t.bel_thresholds
     pl1, pl2, pl3 = t.pl_thresholds
     if sum_bel > bel3 and sum_pl < pl1:
@@ -117,10 +119,10 @@ def report_for(
     solver: SolverConfig = SolverConfig(),
 ) -> DecisionReport:
     """Build a DecisionReport for a ``TransformKind`` or its name in any
-    case; the threshold is checked before the kind and the transform."""
+    case; the threshold is checked before the kind, the solver and the transform."""
     _check_threshold(decision_threshold)
     kind = TransformKind(kind)
-    result = TRANSFORMS[kind](m, solver)
+    result = apply_transform(kind, m, solver)
     return DecisionReport(
         method=kind,
         distribution=result.distribution,

@@ -56,10 +56,18 @@ def _is_real(x) -> bool:
 _NOT_COLLECTIONS = (str, bytes, bytearray, memoryview, dict)
 
 
+def _shown(given) -> str:
+    """``repr(given)``, but a memoryview by its bytes: its own repr holds its address."""
+    try:
+        return repr(given.tobytes() if isinstance(given, memoryview) else given)
+    except ValueError:  # a released memoryview has no bytes
+        return repr(given)
+
+
 def _not_labels(given) -> ValidationError:
     """The error for one of ``_NOT_COLLECTIONS`` given as labels."""
     kind = "mapping" if isinstance(given, dict) else "string" if isinstance(given, str) else "bytes"
-    return ValidationError(f"expected a collection of labels, not the {kind} {given!r}")
+    return ValidationError(f"expected a collection of labels, not the {kind} {_shown(given)}")
 
 
 @dataclass(frozen=True)
@@ -179,15 +187,16 @@ def _check_same_frame(a: Frame, b: Frame) -> None:
 
 @dataclass(frozen=True)
 class SingletonVector:
-    """One non-negative value per singleton of a frame, in frame order.
+    """One non-negative value per singleton of a frame, in frame order, with a finite sum.
 
-    Holds singleton Belief or Plausibility tabulations: ``values`` as a
-    read-only float64 array, ``_tuple`` as Python floats, converted once.
+    Holds singleton Belief or Plausibility tabulations: ``values`` as a read-only
+    float64 array, ``_tuple`` as Python floats and ``total`` as their ``math.fsum``.
     """
 
     frame: Frame
     values: np.ndarray = field(compare=False)
     _tuple: tuple[float, ...] = field(init=False, repr=False, hash=False)
+    total: float = field(init=False, repr=False, compare=False)
     _noun = "values"  # what the error messages call the values
 
     def __init__(self, frame: Frame, values: Sequence[float] | np.ndarray):
@@ -210,18 +219,21 @@ class SingletonVector:
         return vector
 
     def _keep(self, frame: Frame, arr: np.ndarray) -> None:
-        """Check the float64 ``arr``, freeze it and keep it, and its values as floats."""
+        """Check the float64 ``arr`` and the exact sum of its floats; freeze and keep all three."""
         if arr.shape != (frame.size,):
-            raise ValidationError(
-                f"expected {frame.size} {self._noun}, got shape {arr.shape}"
-            )
-        # argmin/argmax return the first NaN, so NaN fails; and skip .min()'s fixed cost
-        if not (0.0 <= arr[arr.argmin()] and arr[arr.argmax()] < math.inf):
+            raise ValidationError(f"expected {frame.size} {self._noun}, got shape {arr.shape}")
+        floats = tuple(arr.tolist())
+        try:  # min first, as fsum raises ValueError on inf + -inf; it carries NaN and +inf through
+            total = math.fsum(floats) if 0.0 <= min(floats) else math.nan
+        except OverflowError:  # finite values whose sum is not
+            raise ValidationError(f"{self._noun} must have a finite sum") from None
+        if not total < math.inf:
             raise ValidationError(f"{self._noun} must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_tuple", tuple(arr.tolist()))
+        object.__setattr__(self, "_tuple", floats)
+        object.__setattr__(self, "total", total)
 
     def __getitem__(self, label: str) -> float:
         return self._tuple[self.frame.index(label)]
@@ -230,11 +242,6 @@ class SingletonVector:
         """Sum of the values over the singletons of ``subset``, rounded once (``math.fsum``)."""
         _check_same_frame(self.frame, subset.frame)
         return math.fsum(v for i, v in enumerate(self._tuple) if subset.bits >> i & 1)
-
-    @property
-    def total(self) -> float:
-        """The exactly rounded sum of the values (``math.fsum``)."""
-        return math.fsum(self._tuple)
 
 
 class MassFunction:

@@ -128,7 +128,7 @@ def _split(m: MassFunction, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     takes ``m_c * (w / denom)`` instead, whose ratios are at most 1."""
     denom = M @ weights
     single = m._bel
-    if denom[denom.argmin()] >= 2.0**-1022:  # argmin and argmax here: see SingletonVector._keep
+    if denom[denom.argmin()] >= 2.0**-1022:  # argmin finds a NaN, which fails; cheaper than .min()
         return single + weights * ((m.compound_masses / denom) @ M)
     normal = denom >= 2.0**-1022
     per_weight = np.divide(m.compound_masses, denom, out=np.zeros_like(denom), where=normal)
@@ -228,6 +228,8 @@ def pr_sc_p(m: MassFunction, config: SolverConfig = SolverConfig()) -> Transform
     step from ``x`` is below ``config.tolerance`` and ``x``'s optimality gap at
     most ``GAP_TOLERANCE``; ``iterations`` counts every EM evaluation after PrBl.
     """
+    if not isinstance(config, SolverConfig):
+        raise ValidationError(f"solver config must be a SolverConfig, got {config!r}")
     M = m._floats()
     x = _split(m, m._bel, M)  # PrBl
     support = x > 0.0
@@ -280,5 +282,7 @@ TRANSFORMS: dict[TransformKind, Callable[[MassFunction, SolverConfig], Transform
 def apply_transform(
     method: str, m: MassFunction, config: SolverConfig = SolverConfig()
 ) -> TransformResult:
-    """Dispatch by method name (case-insensitive)."""
+    """Dispatch by method name (case-insensitive) or ``TransformKind``."""
+    if not isinstance(config, SolverConfig):
+        raise ValidationError(f"solver config must be a SolverConfig, got {config!r}")
     return TRANSFORMS[TransformKind(method)](m, config)

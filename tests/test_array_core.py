@@ -34,6 +34,7 @@ from pignistic import (
     pra_pl,
     prscp_residual,
 )
+from pignistic import frame as frame_module
 from pignistic import transforms
 from pignistic.cli import EXIT_INVALID_INPUT, main
 from pignistic.io import parse_bba_document, parse_distribution_document
@@ -393,6 +394,25 @@ def fsum_calls(monkeypatch):
 
     monkeypatch.setattr(transforms, "math", CountingMath())
     return calls
+
+
+@pytest.fixture
+def vector_fsum_calls(monkeypatch, fsum_calls):
+    """``fsum_calls``, with the calls of ``pignistic.frame`` counted by the same proxy."""
+    monkeypatch.setattr(frame_module, "math", transforms.math)
+    return fsum_calls
+
+
+def test_a_vector_takes_its_exact_sum_once(vector_fsum_calls):
+    p = ProbabilityDistribution(Frame(["a", "b", "c"]), [0.25, 0.25, 0.5])
+    assert len(vector_fsum_calls) == 1
+    assert p.total == p.total == 1.0
+    assert len(vector_fsum_calls) == 1
+    m = MassFunction.from_labels(Frame(["a", "b"]), [(["a"], 0.5), (["a", "b"], 0.5)])
+    vector_fsum_calls.clear()
+    result = bet_p(m).distribution  # the split path: no fsum of its own
+    assert result.total == result.total == 1.0
+    assert len(vector_fsum_calls) == 1
 
 
 def test_betp_split_is_exact_where_every_summation_order_misses(fsum_calls):

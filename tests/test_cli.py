@@ -179,6 +179,12 @@ class TestPicCommand:
         assert main(["pic", "--input", str(doc)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.188722"
 
+    def test_distribution_whose_sum_overflows(self, capsys, tmp_path):
+        doc = tmp_path / "dist.json"
+        doc.write_text('{"frame": ["a", "b"], "probabilities": [1e308, 1e308]}')
+        assert main(["pic", "--input", str(doc)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr() == ("", "error: probabilities must have a finite sum\n")
+
     @pytest.mark.parametrize("method", [kind.value for kind in TransformKind])
     def test_every_method_prints_the_transforms_pic(self, capsys, combat_path, method):
         assert main(["pic", "--input", combat_path, "--method", method.lower()]) == EXIT_OK

@@ -12,6 +12,7 @@ from pignistic import (
     ThresholdSet,
     TransformKind,
     ValidationError,
+    apply_transform,
     decision_set,
     evaluate,
     make_mass_function,
@@ -189,6 +190,14 @@ class TestReportFor:
         with pytest.raises(ValidationError, match="threshold must lie in"):
             report_for(combat_bba, ["x"], 2.0)
 
+    def test_the_kind_is_checked_before_the_solver(self, combat_bba):
+        with pytest.raises(ValidationError, match="threshold must lie in"):
+            report_for(combat_bba, "nope", 2.0, None)
+        with pytest.raises(ValidationError, match="unknown transform 'nope'"):
+            report_for(combat_bba, "nope", 0.1, None)
+        with pytest.raises(ValidationError, match="^solver config must be a SolverConfig, got None$"):
+            report_for(combat_bba, "BetP", 0.1, None)
+
 
 class TestThresholdSetFinite:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
@@ -286,6 +295,23 @@ LIBRARY_CHECKS = {
     "report_for threshold None": lambda r: report_for(
         make_mass_function(Frame(["a"]), [(["a"], 1.0)]), TransformKind.BET_P, None
     ),
+    # a solver or a threshold profile of the wrong type, whatever the kind
+    "report_for solver None BetP": lambda r: report_for(
+        make_mass_function(Frame(["a"]), [(["a"], 1.0)]), "BetP", 0.1, None
+    ),
+    "report_for solver None PrScP": lambda r: report_for(
+        make_mass_function(Frame(["a"]), [(["a"], 1.0)]), "PrScP", 0.1, None
+    ),
+    "apply_transform config string": lambda r: apply_transform(
+        "prscp", make_mass_function(Frame(["a"]), [(["a"], 1.0)]), "x"
+    ),
+    "pr_sc_p config string": lambda r: pr_sc_p(
+        make_mass_function(Frame(["a"]), [(["a"], 1.0)]), "x"
+    ),
+    "evaluate thresholds None": lambda r: evaluate(
+        make_mass_function(Frame(["a"]), [(["a"], 1.0)]), None, 0.1
+    ),
+    "select_transform thresholds tuple": lambda r: select_transform(0.5, 1.5, (1, 2, 3)),
 }
 
 

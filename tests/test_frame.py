@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pignistic import (
     MassSumMismatchError,
     ProbabilityDistribution,
     SingletonVector,
+    ThresholdSet,
     TransformKind,
     UnknownLabelError,
     ValidationError,
@@ -236,13 +238,37 @@ class TestMassFunctionValidation:
     @pytest.mark.parametrize("buffer", [bytearray(b"a"), memoryview(b"a")], ids=lambda b: type(b).__name__)
     def test_buffers_are_not_a_collection_of_labels(self, buffer):
         frame = Frame(["a"])
-        message = f"^expected a collection of labels, not the bytes {re.escape(repr(buffer))}$"
+        shown = buffer.tobytes() if isinstance(buffer, memoryview) else buffer  # not its address
+        message = f"^expected a collection of labels, not the bytes {re.escape(repr(shown))}$"
         with pytest.raises(ValidationError, match=message) as err:
             frame.subset(buffer)
         assert type(err.value) is ValidationError
         with pytest.raises(ValidationError, match=message) as err:
             MassFunction.from_labels(frame, [(buffer, 1.0)])
         assert type(err.value) is ValidationError
+
+    # a memoryview's own repr holds its address, which changes from one call to the next
+    @pytest.mark.parametrize(
+        "refuse",
+        [lambda frame, view: frame.subset(view),
+         lambda frame, view: MassFunction.from_labels(frame, [(view, 1.0)]),
+         lambda frame, view: ThresholdSet(view, (4, 5, 6))],
+        ids=["subset", "from_labels", "ThresholdSet"],
+    )
+    def test_a_refused_memoryview_gives_the_same_message_each_time(self, refuse):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                refuse(Frame(["a"]), memoryview(b"\x01\x02\x03"))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "0x" not in messages[0] and messages[0].endswith(repr(b"\x01\x02\x03"))
+
+    def test_a_released_memoryview_is_still_refused_with_a_validation_error(self):
+        view = memoryview(b"a")
+        view.release()
+        with pytest.raises(ValidationError, match="^expected a collection of labels"):
+            Frame(["a"]).subset(view)
 
     @pytest.mark.parametrize("members", [None, 5, [["a"]], [{"a": 1}]], ids=repr)
     def test_members_that_are_not_a_collection_of_hashable_labels(self, members):
@@ -406,6 +432,37 @@ class TestSingletonVectors:
     def test_integer_too_large_for_a_float_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             SingletonVector(Frame(["a", "b"]), [10**400, 0])
+
+    # each value is finite, but math.fsum raises OverflowError on their sum
+    @pytest.mark.parametrize("cls", [SingletonVector, ProbabilityDistribution])
+    def test_values_whose_sum_overflows_rejected(self, cls):
+        frame = Frame(["a", "b"])
+        for construct in (cls, lambda f, v: cls._owned(f, np.array(v))):
+            with pytest.raises(ValidationError, match=f"^{cls._noun} must have a finite sum$"):
+                construct(frame, [1e308, 1e308])
+
+    def test_a_sum_that_rounds_to_the_largest_float_is_kept(self):
+        # a quarter of the last place of the largest float rounds away; a half ties to infinity
+        frame, big = Frame(["a", "b"]), sys.float_info.max
+        vector = SingletonVector(frame, [big, math.ulp(big) / 4])
+        assert vector.total == vector.sum_over(frame.full_set) == big
+        assert vector.sum_over(frame.singleton("b")) == math.ulp(big) / 4
+        with pytest.raises(ValidationError, match="finite sum"):
+            SingletonVector(frame, [big, math.ulp(big) / 2])
+
+    # min is taken first: math.fsum itself raises ValueError on inf + -inf
+    @pytest.mark.parametrize(
+        "values", [[math.inf, -math.inf], [math.nan, -math.inf], [-math.inf, math.nan]], ids=repr
+    )
+    def test_infinities_of_both_signs_rejected(self, values):
+        with pytest.raises(ValidationError, match="^values must be finite and non-negative$"):
+            SingletonVector(Frame(["a", "b"]), values)
+
+    def test_total_is_kept_once(self):
+        vector = SingletonVector(Frame(["a", "b"]), [0.25, 0.5])
+        assert vector.total == 0.75 and "total" in vars(vector)
+        with pytest.raises(AttributeError):
+            vector.total = 1.0
 
     # a buffer iterates as its byte values, which numpy would take as the numbers 0 and 1
     @pytest.mark.parametrize("buffer", [bytearray, memoryview])

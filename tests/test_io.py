@@ -322,6 +322,12 @@ class TestRenderReport:
         with pytest.raises(ParseError, match=field):
             parse_report_record(json.dumps(record))
 
+    def test_probabilities_whose_sum_overflows(self, combat_bba):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
+        record["frame"], record["probabilities"] = ["a", "b"], [1e308, 1e308]
+        with pytest.raises(ValidationError, match="^probabilities must have a finite sum$"):
+            parse_report_record(json.dumps(record))
+
     def test_selected_must_be_a_list_of_strings(self, combat_bba):
         record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
         record["selected"] = [1]

@@ -1,6 +1,7 @@
 """Randomized invariants for the transform and metric layers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from pignistic import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
+    SingletonVector,
     SolverConfig,
+    ValidationError,
     bet_p,
     kl_divergence,
     pic,
@@ -194,3 +197,20 @@ def test_pair_allocation_fractions(m):
         prscp.probabilities[0] / (prscp.probabilities[0] + prscp.probabilities[1]),
         abs=1e-9,
     )
+
+
+@given(st.lists(st.floats(0.0, sys.float_info.max), min_size=1, max_size=5))
+@settings(max_examples=300)
+def test_a_kept_vector_sums_without_overflow(values):
+    """Every vector is refused whose exact sum overflows, and on one that is kept
+    ``total`` and ``sum_over`` every subset are finite: neither raises."""
+    frame = Frame([f"h{i}" for i in range(len(values))])
+    try:
+        vector = SingletonVector(frame, values)
+    except ValidationError:
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        return
+    assert vector.total == math.fsum(values) < math.inf
+    for bits in range(1, 1 << frame.size):
+        assert vector.sum_over(FocalSet(frame, bits)) <= vector.total
