@@ -39,6 +39,7 @@ for doc in tests/data/invalid/*.json; do
     bad_json.json) says="malformed JSON at line 2, column 1" ;;
     bom.json) says="malformed JSON at line 1, column 1: Unexpected UTF-8 BOM" ;;
     duplicate_focal.json) says="bba document: focal set ('a',) assigned more than once" ;;
+    duplicate_label.json) says="bba document: duplicate label 'a'" ;;
     empty_set_mass.json) says="bba document: the empty set is not a valid focal set" ;;
     frame_label_not_string.json) says="bba document: field 'frame' must be a list of strings" ;;
     mass_out_of_range.json) says="bba document: mass 1.5 on ('a',) is not a number in [0, 1]" ;;

@@ -15,7 +15,7 @@ from sys import float_info
 from typing import Any, Sequence
 
 from .decision import DecisionReport, ThresholdSet, decision_set
-from .errors import MassFunctionError, ParseError, ValidationError
+from .errors import FrameError, MassFunctionError, ParseError, ValidationError
 from .frame import Frame, MassFunction, _check_same_frame
 from .metrics import PicScore, pic
 from .transforms import ProbabilityDistribution, TransformKind
@@ -79,12 +79,12 @@ def parse_bba_document(text: str) -> MassFunction:
 
 
 def _mass_function_from(doc: Any) -> MassFunction:
-    """One walk over the records builds the mass function, ``from_labels`` checking each
-    record's elements and mass; only if it fails are they walked again, to rank the errors:
-    a malformed record, an unknown label, the empty set, the rest."""
-    frame = Frame(_list_of(doc, "frame", _STRING, "bba document"))
-    records = _require(doc, "masses", list, "bba document")
+    """One walk builds the mass function, ``from_labels`` checking each record; only if it
+    fails are the records walked again, to rank the errors: a malformed record, an unknown
+    label, the empty set, the rest. Frame and mass errors leave named ``bba document:``."""
     try:
+        frame = Frame(_list_of(doc, "frame", _STRING, "bba document"))
+        records = _require(doc, "masses", list, "bba document")
         try:
             return MassFunction.from_labels(frame, ((r["elements"], r["mass"]) for r in records))
         except (KeyError, TypeError, ValidationError, MassFunctionError):
@@ -94,7 +94,7 @@ def _mass_function_from(doc: Any) -> MassFunction:
             for record in sorted(records, key=lambda r: not r["elements"]):
                 frame.subset(record["elements"])  # an unknown label, then the empty set
             raise
-    except MassFunctionError as exc:
+    except (FrameError, MassFunctionError) as exc:
         raise type(exc)(f"bba document: {exc}") from exc
 
 

@@ -429,6 +429,7 @@ class TestInvalidCatalog:
             "unknown_label.json",
             "empty_set_mass.json",
             "duplicate_focal.json",
+            "duplicate_label.json",
             "mass_out_of_range.json",
             "bom.json",
             "frame_label_not_string.json",

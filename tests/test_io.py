@@ -5,8 +5,11 @@ import pytest
 
 from pignistic import (
     DuplicateFocalSetError,
+    DuplicateLabelError,
+    EmptyFrameError,
     EmptySetMassError,
     FrameMismatchError,
+    FrameTooLargeError,
     MassOutOfRangeError,
     MassSumMismatchError,
     ParseError,
@@ -20,6 +23,7 @@ from pignistic.io import (
     HUMAN,
     MACHINE,
     parse_bba_document,
+    parse_bba_or_distribution,
     parse_distribution_document,
     parse_report_record,
     parse_threshold_document,
@@ -54,6 +58,13 @@ class TestParseBba:
         with pytest.raises(ParseError) as err:
             parse_bba_document((data_dir / "invalid" / "bad_json.json").read_text())
         assert "line" in str(err.value)
+
+    def test_byte_order_mark(self, data_dir):
+        with pytest.raises(ParseError) as err:
+            parse_bba_document((data_dir / "invalid" / "bom.json").read_text())
+        assert str(err.value) == (
+            "malformed JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
 
     def test_sum_mismatch_names_deficit(self, data_dir):
         with pytest.raises(MassSumMismatchError) as err:
@@ -165,6 +176,26 @@ class TestParseBba:
             parse_bba_document(json.dumps(doc))
         assert str(err.value) == message
 
+    # A frame error is named for the document too, through either reader of a BBA.
+    @pytest.mark.parametrize("parse", [parse_bba_document, parse_bba_or_distribution])
+    @pytest.mark.parametrize(
+        "labels, error, message",
+        [
+            ([], EmptyFrameError, "a frame needs at least one label"),
+            (["a", ""], EmptyFrameError, "frame labels must be non-empty strings"),
+            (["a", "a"], DuplicateLabelError, "duplicate label 'a'"),
+            ([f"h{i}" for i in range(65)], FrameTooLargeError,
+             "frame has 65 labels; at most 64 supported"),
+        ],
+        ids=["no-labels", "empty-label", "duplicate-label", "65-labels"],
+    )
+    def test_frame_error(self, parse, labels, error, message):
+        text = json.dumps({"frame": labels, "masses": [{"elements": ["a"], "mass": 1.0}]})
+        with pytest.raises(error) as err:
+            parse(text)
+        assert type(err.value) is error
+        assert str(err.value) == f"bba document: {message}"
+
     def test_duplicate_before_a_later_bad_mass(self):
         records = [{"elements": ["a"], "mass": 0.5}, {"elements": ["a"], "mass": 0.5}, BAD_MASS]
         text = json.dumps({"frame": ["a", "b"], "masses": records})
@@ -267,6 +298,13 @@ class TestParseDistribution:
                 '{"frame": ["a", "b"], "probabilities": [0.9, 0.9]}'
             )
 
+    # the prefix is a BBA document's: a distribution keeps the frame's own message
+    @pytest.mark.parametrize("parse", [parse_distribution_document, parse_bba_or_distribution])
+    def test_duplicate_label(self, parse):
+        with pytest.raises(DuplicateLabelError) as err:
+            parse('{"frame": ["a", "a"], "probabilities": [0.5, 0.5]}')
+        assert str(err.value) == "duplicate label 'a'"
+
     def test_bool_probabilities(self):
         with pytest.raises(ParseError):
             parse_distribution_document(
@@ -365,6 +403,7 @@ class TestRenderReport:
             (TransformKind.PRA_PL, "epsilon", "-1e999"),
             (TransformKind.BET_P, "iterations", "7"),
             (TransformKind.PRA_PL, "iterations", "3"),
+            (TransformKind.PR_SC_P, "iterations", "0"),
         ],
     )
     def test_diagnostic_the_program_never_writes(self, combat_bba, kind, field, value):
@@ -393,6 +432,12 @@ class TestRenderReport:
         with pytest.raises(ValidationError) as err:
             parse_report_record(json.dumps(record))
         assert str(err.value) == "report record: 'pic' is not the PIC of 'probabilities'"
+
+    def test_pic_off_by_1e_9(self, combat_bba):
+        record = json.loads(render_report(report_for(combat_bba, TransformKind.BET_P, 0.0455), MACHINE))
+        record["pic"] += 1e-9
+        with pytest.raises(ValidationError, match="^report record: 'pic' is not the PIC"):
+            parse_report_record(json.dumps(record))
 
     def test_integer_epsilon_too_large_for_a_float(self, combat_bba):
         record = json.loads(render_report(report_for(combat_bba, TransformKind.PRA_PL, 0.0455), MACHINE))

@@ -103,6 +103,13 @@ class TestKlDivergence:
         expected = 0.7 * math.log(0.7 / 0.4)
         assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
 
+    def test_float_sum_below_zero_is_clamped(self):
+        # q_b is p_b plus a few ulps: the rounded terms sum to -3.6e-17
+        p = dist("ab", [0.9671787439810325, 0.032821256018967425])
+        q = dist("ab", [0.9671787439810325, 0.03282125601896746])
+        assert math.fsum(a * math.log(a / b) for a, b in zip(p._tuple, q._tuple)) < 0.0
+        assert kl_divergence(p, q) == 0.0
+
     def test_ratio_that_overflows_is_a_difference_of_logs(self):
         # 0.5 / 5e-324 overflows to inf, but the divergence is finite
         p = dist("ab", [0.5, 0.5])

@@ -207,6 +207,95 @@ def test_gap_is_infinite_where_a_focal_set_has_zero_probability():
     assert transforms._gap(m, np.array([1.0, 0.0]), support, m._floats()) == math.inf
 
 
+def indexed_bba(n, assignments):
+    """The BBA over labels h0..h{n-1} that puts each mass on its label indices."""
+    frame = Frame([f"h{i}" for i in range(n)])
+    return MassFunction.from_labels(
+        frame, [([f"h{i}" for i in members], mass) for members, mass in assignments]
+    )
+
+
+#: ``benchmarks/corpus.py``'s decide document 11 of seed 11.
+DECIDE_11_11 = [
+    ([0], 0.0007705234729987908), ([1], 0.002331135991282611),
+    ([2], 0.0006788921593863498), ([3], 0.00016608858144947993),
+    ([4], 0.0013773902863307083), ([5], 0.0009823434198443556),
+    ([6], 0.0014975630327288551), ([4, 5, 6], 0.0683080207017653),
+    ([3, 4, 5, 6], 0.003436251235194501), ([0, 4], 0.9204517911190191),
+]
+#: Three of ``benchmarks/corpus.py``'s seed-1 prscp-solve BBAs: n4-k8-0, n4-k8-2 and n7-k14-2.
+N4_K8_0 = [
+    ([1], 0.09917423634547327), ([0, 3], 0.06062778236958644),
+    ([1, 2], 0.259331377615245), ([3], 0.21540163829292658),
+    ([0, 1, 2, 3], 0.06072303089610989), ([0], 0.07495558931987217),
+    ([0, 2, 3], 0.19746276974349886), ([0, 1, 3], 0.032323575417287684),
+]
+N4_K8_2 = [
+    ([0, 1, 3], 0.1894335706526229), ([0], 0.029200037508753177),
+    ([0, 1, 2, 3], 0.1680191543738075), ([1, 2, 3], 0.2198902933085234),
+    ([1], 0.15731876352194263), ([3], 0.01591880738153877),
+    ([0, 2, 3], 0.07851616831982111), ([0, 3], 0.14170320493299055),
+]
+N7_K14_2 = [
+    ([0, 4, 6], 0.09916812451590655), ([2, 4, 5], 0.06470341138427067),
+    ([0, 4], 0.11924011647316471), ([0, 3, 4, 6], 0.01552883480771558),
+    ([0, 1, 5, 6], 0.00672162200397235), ([1, 2, 4], 0.11917588518408676),
+    ([6], 0.019961087298827236), ([0, 1, 4, 5, 6], 0.04527576881141976),
+    ([0, 1, 2, 5, 6], 0.04550645011259394), ([0, 1, 2, 4, 5, 6], 0.12564233095085853),
+    ([0, 2, 6], 0.0890481570402661), ([0, 1, 4], 0.0980689449723011),
+    ([1, 2], 0.0736352533666548), ([0, 2, 3, 6], 0.0783240130779618),
+]
+#: The wide-magnitude BBAs 173 and 197 of ``tests/test_array_core.py``.
+WIDE_173 = [
+    ([2, 3], 8.892623536385667e-60), ([1, 2, 3, 4], 8.5624896339212e-259),
+    ([0], 3.123670156800402e-76), ([2], 1.521218209917374e-166),
+    ([0, 1, 3, 4], 2.291872661918689e-60), ([0, 3, 4], 5.17840427391043e-36),
+    ([1, 3, 4], 2.7621991584925886e-200), ([0, 2, 4], 1.1792946171035512e-257),
+    ([1, 3], 0.9999857391306791), ([1], 1.9242526595337474e-157),
+    ([0, 1, 4], 1.42608693208142e-05), ([2, 4], 3.7818715563324204e-77),
+    ([1, 2, 4], 4.7289067122933613e-63), ([3], 1.225615700277184e-35),
+    ([2, 3, 4], 3.3257912673260727e-96), ([3, 4], 8.42705527321207e-149),
+    ([0, 2, 3], 2.4083976419343054e-268), ([1, 2], 3.699149598512856e-75),
+    ([0, 4], 3.950619896484015e-156), ([1, 2, 3], 4.527567851523251e-131),
+]
+WIDE_197 = [
+    ([0, 1, 2, 4], 3.293601891582684e-211), ([0, 2, 5], 5.191051106994487e-180),
+    ([1, 2, 3, 4, 5], 6.571389796025916e-112), ([1, 5], 2.9720524232578704e-68),
+    ([1, 2, 5], 4.363497092393902e-210), ([0, 3], 0.032564902113911366),
+    ([0, 2, 3, 5], 0.07156325838594589), ([0, 1], 2.256343124313855e-168),
+    ([2, 5], 0.8958718395001428), ([1, 4, 5], 1.928230629227241e-197),
+]
+
+
+# Each bound lies between the EM evaluations SQUAREM takes on the BBA and what
+# it takes with one of two safeguards removed. With the step length alpha allowed
+# below 1, decide-11-11 and wide-173 take 24 and 379 (21 and 240 here). With the
+# positivity check also covering labels the EM pair sent to zero, the three
+# prscp-solve BBAs take 11, 99 and 187 (4, 25 and 44 here), and wide-173 has no
+# answer within 1,000. Both BLAS kernels in CI fall on the same side of each bound.
+@pytest.mark.parametrize(
+    "n, assignments, bound",
+    [(7, DECIDE_11_11, 23), (5, WIDE_173, 300),
+     (4, N4_K8_0, 8), (4, N4_K8_2, 50), (7, N7_K14_2, 90)],
+    ids=["decide-11-11", "wide-173", "n4-k8-0", "n4-k8-2", "n7-k14-2"],
+)
+def test_acceleration_certifies_within_a_bound_on_em_evaluations(n, assignments, bound):
+    m = indexed_bba(n, assignments)
+    result = pr_sc_p(m)
+    assert result.iterations <= bound
+    assert gap_of(m, result.distribution) <= GAP_BOUND
+
+
+def test_label_the_em_path_underflows_stays_at_zero():
+    # PrBl gives h4 1.3e-112; the EM pair underflows it to 0, and zero is
+    # absorbing, so the extrapolated point must not bring it back
+    m = indexed_bba(6, WIDE_197)
+    assert pr_bl(m).distribution["h4"] > 0.0
+    result = pr_sc_p(m)
+    assert result.distribution["h4"] == 0.0
+    assert gap_of(m, result.distribution) <= GAP_BOUND
+
+
 @pytest.fixture
 def em_calls(monkeypatch):
     """The number of ``transforms._split`` calls so far: PrBl, EM maps and residuals."""
