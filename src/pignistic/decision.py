@@ -2,8 +2,8 @@
 
 The selector compares the Belief and Plausibility sums of a mass function
 against an ordered threshold profile: the more mature the information set
-(high SumBel, low SumPl), the more aggressive the transform. Rules are
-evaluated top-down with short-circuit; PraPl is never selected
+(high SumBel, low SumPl), the more aggressive the transform. The rules are
+the rows of ``_RULES``, tried top-down; PraPl is never selected
 automatically and remains available only by explicit request.
 """
 
@@ -83,21 +83,21 @@ def decision_set(p: ProbabilityDistribution, threshold: float) -> list[str]:
     return [label for label, prob in zip(p.frame.labels, p._tuple) if prob > threshold]
 
 
-def select_transform(sum_bel: float, sum_pl: float, t: ThresholdSet) -> TransformKind:
-    """Pick the transform matching the information maturity of the inputs.
+#: Row ``(i, j, kind)`` fires when ``sum_bel > bel_thresholds[i] and sum_pl < pl_thresholds[j]``;
+#: the first row that fires wins, and a tie falls through. BetP is the default.
+_RULES = ((2, 0, TransformKind.PR_SC_P), (1, 1, TransformKind.PR_BL), (0, 2, TransformKind.PR_PL))
 
-    First matching rule wins; the fall-through default is BetP.
-    """
+
+def select_transform(sum_bel: float, sum_pl: float, t: ThresholdSet) -> TransformKind:
+    """Pick the transform matching the information maturity of the inputs."""
     if not isinstance(t, ThresholdSet):
         raise ValidationError(f"expected a ThresholdSet, got {t!r}")
-    bel1, bel2, bel3 = t.bel_thresholds
-    pl1, pl2, pl3 = t.pl_thresholds
-    if sum_bel > bel3 and sum_pl < pl1:
-        return TransformKind.PR_SC_P
-    if sum_bel > bel2 and sum_pl < pl2:
-        return TransformKind.PR_BL
-    if sum_bel > bel1 and sum_pl < pl3:
-        return TransformKind.PR_PL
+    for x in (sum_bel, sum_pl):
+        if not (_is_real(x) and -float_info.max <= x <= float_info.max):
+            raise ValidationError(f"SumBel and SumPl must be finite numbers, got {(sum_bel, sum_pl)}")
+    for i, j, kind in _RULES:
+        if sum_bel > t.bel_thresholds[i] and sum_pl < t.pl_thresholds[j]:
+            return kind
     return TransformKind.BET_P
 
 

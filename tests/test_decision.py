@@ -312,6 +312,12 @@ LIBRARY_CHECKS = {
         make_mass_function(Frame(["a"]), [(["a"], 1.0)]), None, 0.1
     ),
     "select_transform thresholds tuple": lambda r: select_transform(0.5, 1.5, (1, 2, 3)),
+    # SumBel and SumPl must be finite real numbers: NaN would fall through to BetP
+    "select_transform SumBel nan": lambda r: select_transform(float("nan"), 1.05, STANDARD),
+    "select_transform SumPl inf": lambda r: select_transform(0.9, float("inf"), STANDARD),
+    "select_transform SumBel bool": lambda r: select_transform(True, 1.05, STANDARD),
+    "select_transform SumPl None": lambda r: select_transform(0.9, None, STANDARD),
+    "select_transform SumBel string": lambda r: select_transform("0.9", 1.05, STANDARD),
 }
 
 

@@ -171,6 +171,17 @@ def test_budget_is_exact_at_every_position_in_the_cycle(combat_bba, budget):
     assert math.fsum(x) == pytest.approx(1.0, abs=1e-12)
     residual = prscp_residual(combat_bba, ProbabilityDistribution(combat_bba.frame, x))
     assert err.value.residual == residual
+    if budget % 3 == 1:
+        # the budget ran out right after an EM step, so the iterate is that step's
+        # output, one EM step from the point the budget before it ended on
+        if budget == 1:
+            prev = pr_bl(combat_bba).distribution.values
+        else:
+            with pytest.raises(ConvergenceError) as before:
+                pr_sc_p(combat_bba, SolverConfig(tolerance=1e-15, max_iterations=budget - 1))
+            prev = before.value.last_iterate
+        em_step = transforms._split(combat_bba, prev, combat_bba._floats())
+        assert x.tobytes() == em_step.tobytes()
 
 
 def test_default_budget_answers_are_certified():
