@@ -323,25 +323,29 @@ class MassFunction:
             )
         self.frame = frame
         # little-endian whatever the host, so the byte view below lists bit 0 first
-        self.bits = _read_only(np.array(kept, dtype="<u8"))
-        self.masses = masses = _read_only(np.array(values))
-        octets = self.bits.view(np.uint8).reshape(-1, 8)
+        self.bits = bits = np.array(kept, dtype="<u8")
+        self.masses = masses = np.array(values)
+        octets = bits.view(np.uint8).reshape(-1, 8)
         rows = np.unpackbits(octets, axis=1, count=frame.size, bitorder="little")
         #: k x n boolean matrix: row r marks the members of focal set r.
-        self.incidence = _read_only(rows.view(bool))
+        self.incidence = rows.view(bool)
         self._float_incidence = None  # see _floats
         F = rows.astype(float)  # construction's own float copy
-        self.cardinality = _read_only(F.sum(1))
-        self.compound_masses = _read_only(masses * (self.cardinality > 1.0))
-        self._bel = _read_only((masses - self.compound_masses) @ F)
-        self._pl = _read_only(masses @ F)
-        self._sum_bel, self._sum_pl = math.fsum(self._bel.tolist()), math.fsum(self._pl.tolist())
+        self.cardinality = cardinality = F.sum(1)
+        self.compound_masses = compound = masses * (cardinality > 1.0)
+        self._bel = bel = (masses - compound) @ F
+        self._pl = pl = masses @ F
+        for table in bits, masses, self.incidence, cardinality, compound, bel, pl:
+            table.setflags(write=False)
+        self._sum_bel, self._sum_pl = math.fsum(bel.tolist()), math.fsum(pl.tolist())
 
     def _floats(self) -> np.ndarray:
         """``incidence`` as read-only floats, cast on the first call and kept."""
         M = self._float_incidence
         if M is None:
-            M = self._float_incidence = _read_only(self.incidence.astype(float))
+            M = self.incidence.astype(float)
+            M.setflags(write=False)  # frozen before another thread can read it
+            self._float_incidence = M
         return M
 
     def focal_sets(self) -> Iterator[tuple[FocalSet, float]]:
@@ -393,11 +397,6 @@ class MassFunction:
             for bits, mass in sorted(zip(self.bits.tolist(), self.masses.tolist()))
         )
         return f"MassFunction({parts})"
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
 
 
 make_frame = Frame

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from sys import float_info
 from typing import Any, Sequence
 
@@ -86,7 +87,7 @@ def _mass_function_from(doc: Any) -> MassFunction:
         frame = Frame(_list_of(doc, "frame", _STRING, "bba document"))
         records = _require(doc, "masses", list, "bba document")
         try:
-            return MassFunction.from_labels(frame, ((r["elements"], r["mass"]) for r in records))
+            return MassFunction.from_labels(frame, map(itemgetter("elements", "mass"), records))
         except (KeyError, TypeError, ValidationError, MassFunctionError):
             for i, record in enumerate(records):
                 _list_of(record, "elements", _STRING, f"masses[{i}]")

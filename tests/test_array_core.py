@@ -309,6 +309,46 @@ def test_prscp_over_wide_magnitudes_is_certified_or_raises(wide_magnitude_bbas):
     assert answers > 0
 
 
+def random_bba(rng, n, k, singletons=False):
+    """k distinct nonempty focal sets of n labels (every singleton among them if
+    ``singletons``) with U(0, 1) weights normalised by fsum."""
+    frame = Frame([f"h{i}" for i in range(n)])
+    chosen = dict.fromkeys(1 << i for i in range(n)) if singletons else {}
+    while len(chosen) < k:
+        if bits := rng.getrandbits(n):
+            chosen[bits] = None
+    weights = [rng.random() for _ in chosen]
+    total = math.fsum(weights)
+    return MassFunction(frame, {FocalSet(frame, b): w / total for b, w in zip(chosen, weights)})
+
+
+def exact_stages(m):
+    """BetP and singleton Bel by label, in label order, and SumBel, as hex strings."""
+    betp, bel = bet_p(m).distribution, m.singleton_beliefs()
+    return [(betp[l].hex(), bel[l].hex()) for l in sorted(m.frame.labels)], m.sum_bel().hex()
+
+
+def test_exact_stages_do_not_depend_on_label_or_focal_set_order(wide_magnitude_bbas):
+    # BetP is exactly rounded and singleton Bel has one nonzero term per label, so
+    # shuffling the frame and reversing the focal sets, which reorders every sum
+    # and every BLAS product, must leave each bit of them and of SumBel alone
+    rng = random.Random(5)
+    decide_sized = [
+        random_bba(rng, n, n + rng.randint(1, min(12, 2**n - 1 - n)), singletons=True)
+        for n in (rng.randint(3, 8) for _ in range(1000))
+    ]
+    small = [random_bba(rng, n, rng.randint(1, min(2 * n, 2**n - 1)))
+             for n in (rng.randint(2, 12) for _ in range(300))]
+    wide = [random_bba(rng, n, k) for n, k in ((16, 200), (32, 1000), (64, 2000))]
+    for m in decide_sized + small + wide + wide_magnitude_bbas:
+        labels = list(m.frame.labels)
+        rng.shuffle(labels)
+        relabeled = MassFunction.from_labels(
+            Frame(labels), [(s.labels, mass) for s, mass in reversed(list(m.focal_sets()))]
+        )
+        assert exact_stages(relabeled) == exact_stages(m)
+
+
 def exactly_rounded_betp(m):
     """Each label's equal shares summed exactly in rationals, rounded once."""
     totals = dict.fromkeys(m.frame.labels, Fraction(0))

@@ -307,6 +307,42 @@ def test_label_the_em_path_underflows_stays_at_zero():
     assert gap_of(m, result.distribution) <= GAP_BOUND
 
 
+def test_extrapolation_without_curvature_is_the_plain_em_pair(monkeypatch):
+    # PrBl gives c 9e-200, and each EM step multiplies c by 1.6 to 1.7 while a and b
+    # stay EM fixed points in floats. Until c passes 1e-162, v = x2 - 2 x1 + x is
+    # nonzero but v . v underflows to 0, so no step length can be measured. The
+    # cycle must then not extrapolate on a guess: alpha = 1, whose point x + 2r + v
+    # is the EM pair's own x2, is where its stabilising step starts.
+    m = MassFunction.from_labels(
+        Frame(["a", "b", "c"]),
+        [(["a"], 0.1), (["b"], 0.1 - 1e-200), (["c"], 1e-200),
+         (["a", "c"], 0.4), (["b", "c"], 0.4)],
+    )
+    calls = []
+    split = transforms._split
+
+    def recorded(m, weights, M):
+        out = split(m, weights, M)
+        calls.append((weights, out))
+        return out
+
+    monkeypatch.setattr(transforms, "_split", recorded)
+    result = pr_sc_p(m)
+    flat = 0
+    for j in range(3, len(calls)):
+        z = calls[j][0]
+        if z is calls[j - 1][1]:
+            continue  # an EM step from the step before's output, not a stabilising step
+        x, x1 = calls[j - 2]
+        x2 = calls[j - 1][1]
+        v = x2 - 2.0 * x1 + x
+        if v @ v == 0.0:
+            flat += 1
+            np.testing.assert_allclose(z, x2, rtol=1e-12, atol=0.0)
+    assert flat > 0
+    assert gap_of(m, result.distribution) <= GAP_BOUND
+
+
 @pytest.fixture
 def em_calls(monkeypatch):
     """The number of ``transforms._split`` calls so far: PrBl, EM maps and residuals."""
